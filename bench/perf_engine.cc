@@ -793,14 +793,14 @@ main(int argc, char **argv)
             recovered.execStats().retries == 2;
 
         // Cancel latency: cancel() inside the wave-1 progress
-        // callback; the engine drains the one in-flight wave and
-        // delivers the partial result.
+        // callback; wave 2's shards dequeue after it and skip, and
+        // the engine delivers the partial result.
         {
             Job job = clean_job();
             job.stopping.waveShots = wave_shots;
             const CancelToken token = job.cancel;
             std::chrono::steady_clock::time_point cancelled_at;
-            const Result partial = robust_engine.runAdaptive(
+            const Result partial = robust_engine.run(
                 job,
                 [&](const Result &, const StoppingStatus &status) {
                     if (status.wave == 1) {
@@ -823,7 +823,7 @@ main(int argc, char **argv)
             job.stopping.waveShots = wave_shots;
             job.checkpoint = std::make_shared<JobCheckpoint>();
             const CancelToken token = job.cancel;
-            const Result partial = robust_engine.runAdaptive(
+            const Result partial = robust_engine.run(
                 job,
                 [&](const Result &, const StoppingStatus &status) {
                     if (status.wave == 1)
@@ -834,7 +834,7 @@ main(int argc, char **argv)
             resume_job.stopping.waveShots = wave_shots;
             resume_job.resumeFrom = job.checkpoint;
             const Result resumed =
-                robust_engine.runAdaptive(std::move(resume_job));
+                robust_engine.run(std::move(resume_job));
             resume_total_shots =
                 partial.shots() +
                 (resumed.shots() -

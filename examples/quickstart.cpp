@@ -44,8 +44,8 @@ main()
     //    also work). Ideal run: the assertion never fires and the
     //    payload stays perfectly correlated.
     ExecutionEngine engine;
-    const AssertionReport ideal_report =
-        engine.runInstrumented(inst, 4096, "statevector", 1234);
+    const AssertionReport ideal_report = analyze(
+        inst, engine.run(inst.circuit(), 4096, "statevector", 1234));
     std::printf("ideal device:\n%s\n",
                 ideal_report.str(inst).c_str());
 

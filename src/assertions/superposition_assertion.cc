@@ -36,8 +36,12 @@ SuperpositionAssertion::emit(Circuit &circuit,
         circuit.h(t);
         circuit.h(anc);
         circuit.cx(t, anc);
-        if (target_ == Target::Minus)
-            circuit.x(anc); // |-> yields anc |1>; flip so 0 = pass
+        if (target_ == Target::Minus) {
+            // |-> leaves |+> (x) |1>: flip the ancilla so 0 = pass,
+            // and turn the target back into |->.
+            circuit.x(anc);
+            circuit.z(t);
+        }
         circuit.measure(anc, clbits[0]);
         return;
       case Target::Basis:

@@ -9,7 +9,9 @@
  * passing branch *forces* the target into an equal superposition.
  *
  * Normalisation: when asserting |->, an X is appended to the ancilla
- * before readout so that |1> uniformly signals an error.
+ * before readout so that |1> uniformly signals an error, and a Z on
+ * the target turns the |+> the circuit leaves behind back into |->,
+ * so a passing check leaves its qubit as it found it.
  *
  * Extension (Basis mode): asserting an arbitrary pure single-qubit
  * state cos(t/2)|0> + e^{ip} sin(t/2)|1> by conjugating the classical

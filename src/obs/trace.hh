@@ -16,7 +16,7 @@
  *   prepare (queue)        one JobQueue preparation (cache miss path)
  *   pass:<name> (compile)  one compile-pass execution
  *   shard (engine)         one shard's backend run, args shots/wait_ns
- *   wave (engine, async)   one adaptive wave, begin at launch
+ *   wave (engine, async)   one wave of a job, begin at launch
  *   wave_merge (engine)    shard-order merge of a finished wave
  *   stopping_eval (engine) stopping-rule evaluation after a wave
  *   sampled_run /

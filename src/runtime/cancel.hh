@@ -6,11 +6,11 @@
  * observes (and may trigger) the same cancellation, so a caller keeps
  * one copy, hands another to the Job, and calls cancel() whenever it
  * wants the runtime to wind the job down. The engine polls the token
- * at shard starts and wave boundaries — cancellation is cooperative
- * and shard-granular, never preemptive: shards already running finish,
- * shards not yet started are skipped (fixed-budget paths) or never
- * launched (adaptive waves), and the delivered Result is the merge of
- * exactly the shards that completed, stamped cancelled().
+ * when a shard is dequeued and at wave boundaries — cancellation is
+ * cooperative and shard-granular, never preemptive: shards already
+ * running finish, shards dequeued afterwards run nothing, no further
+ * wave launches, and the delivered Result is the longest completed
+ * prefix of the shard plan, stamped cancelled().
  *
  * Deadlines ride the same state: the engine arms the token with a
  * monotonic-clock expiry at dispatch (Job::deadlineMs), and poll()

@@ -1,10 +1,11 @@
 /**
  * @file
- * JobCheckpoint: the resumable cursor of an adaptive (wave-based) job.
+ * JobCheckpoint: the resumable cursor of a job.
  *
- * An adaptive job's progress is fully described by its position in
- * the deterministic shard plan: the merged counts so far, the index
- * of the next shard to launch, and the last stopping evaluation.
+ * A job's progress is fully described by its position in the
+ * deterministic shard plan: the merged counts so far (always a prefix
+ * of the plan), the index of the next shard to launch, and the last
+ * stopping evaluation.
  * Because the plan depends only on (budget, seed, shardShots,
  * maxShards) and shard i always draws from splitSeed(seed, i), a job
  * resumed from a checkpoint with the same plan parameters replays the
@@ -12,9 +13,10 @@
  * result is bit-identical and total shots never exceed the
  * uninterrupted run's.
  *
- * The engine writes a checkpoint whenever Job::checkpoint is set: at
- * job completion (converged, exhausted, or cancelled at a wave
- * boundary) and — with the cursor rewound to the failing wave's first
+ * The engine writes a checkpoint whenever Job::checkpoint is set, on
+ * fixed-budget and adaptive jobs alike: at job completion (converged,
+ * exhausted, or cancelled — the cursor then sits at the first shard
+ * that did not run) and — with the cursor at the failing wave's first
  * shard — when a wave fails, so no shots are silently skipped on
  * resume after an error. To resume, put the checkpoint in
  * Job::resumeFrom (or JobSpec::resumeFrom) of a job with the same
@@ -37,7 +39,7 @@
 namespace qra {
 namespace runtime {
 
-/** Resumable cursor of an adaptive job (see file comment). */
+/** Resumable cursor of a job (see file comment). */
 struct JobCheckpoint
 {
     /** Hash of the circuit the shards ran (resume must match). */

@@ -1,7 +1,10 @@
 #include "runtime/execution_engine.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/error.hh"
@@ -105,21 +108,6 @@ effectiveFaultPlan(const Job &job)
     return job.faults ? job.faults.get() : processFaultPlan();
 }
 
-/**
- * Stamp a fixed-budget merge that came up short because the job was
- * cancelled: cancelled() + reason, plus the original ask so
- * shotsRequested() reports the shortfall.
- */
-void
-stampCancelledFixed(Result &merged, const Job &job)
-{
-    if (!job.cancel.poll() || merged.shots() >= job.shots)
-        return;
-    merged.setShotsRequested(job.shots);
-    merged.setCancelled(cancelReasonName(job.cancel.reason()));
-    obs::count(engineMetrics().cancelled);
-}
-
 } // namespace
 
 ExecutionEngine::ExecutionEngine(EngineOptions options,
@@ -192,303 +180,16 @@ ExecutionEngine::checkAndLaneCount(const Job &job,
     return std::min(lanes, pool_.size());
 }
 
-std::function<Result()>
-ExecutionEngine::shardRunner(
-    const Job &job, const BackendPtr &backend, const Shard &shard,
-    std::size_t lanes, std::size_t shard_index, bool skip_on_cancel,
-    std::shared_ptr<std::atomic<std::size_t>> retries)
-{
-    // The enqueue timestamp is only captured when telemetry is on:
-    // the disabled path stays free of clock reads.
-    const obs::Tracer::Clock::time_point enqueued =
-        obs::anyEnabled() ? obs::Tracer::Clock::now()
-                          : obs::Tracer::Clock::time_point{};
-    return [backend, circuit = job.circuit, noise = job.noise, shard,
-            lanes, pool = &pool_, fusion = options_.fusionLevel,
-            simd_tier = options_.simdTier,
-            cache_block = options_.cacheBlockBytes,
-            artifacts = job.artifacts,
-            enqueued, shard_index, skip_on_cancel,
-            cancel = job.cancel, retry = job.retry,
-            faults_owner = job.faults,
-            faults = effectiveFaultPlan(job),
-            retries = std::move(retries)]() {
-        // Cancellation is shard-granular: a fixed-budget shard the
-        // pool dequeues after cancel() contributes zero shots and the
-        // merge stays bit-identical to the completed prefix. Adaptive
-        // wave shards never skip (skip_on_cancel=false) so a wave
-        // either fully merges or fully fails — the invariant the
-        // checkpoint cursor depends on.
-        if (skip_on_cancel && cancel.poll())
-            return Result(circuit->numClbits());
-        kernels::ParallelScope scope(pool, lanes);
-        kernels::FusionScope fusion_scope(fusion);
-        kernels::simd::TierScope tier_scope(simd_tier);
-        kernels::CacheBlockScope block_scope(cache_block);
-        kernels::PlanCacheScope cache_scope(artifacts.get());
-        // Transient failures (TransientSimulationError, bad_alloc —
-        // injected or real) re-run the shard with its ORIGINAL seed:
-        // a recovered run's counts are bit-identical to a fault-free
-        // one. Permanent errors and exhausted budgets propagate.
-        auto run_once = [&](std::size_t attempt) {
-            maybeInjectFault(faults, FaultSite::Scope::Shard,
-                             shard_index, attempt);
-            return backend->run(*circuit, shard.shots, shard.seed,
-                                noise);
-        };
-        auto run_with_retry = [&]() {
-            for (std::size_t attempt = 0;; ++attempt) {
-                try {
-                    return run_once(attempt);
-                } catch (...) {
-                    const std::exception_ptr error =
-                        std::current_exception();
-                    if (!isTransient(error) ||
-                        attempt + 1 >= retry.maxAttempts ||
-                        cancel.cancelled())
-                        std::rethrow_exception(error);
-                    if (retries)
-                        retries->fetch_add(
-                            1, std::memory_order_relaxed);
-                    obs::count(engineMetrics().retries);
-                    const double delay_ms = retryBackoffMs(
-                        retry, attempt + 1, shard.seed);
-                    if (delay_ms > 0.0)
-                        std::this_thread::sleep_for(
-                            std::chrono::duration<double,
-                                                  std::milli>(
-                                delay_ms));
-                }
-            }
-        };
-        if (!obs::anyEnabled())
-            return run_with_retry();
-        const auto start = obs::Tracer::Clock::now();
-        const std::uint64_t wait_ns = elapsedNs(enqueued, start);
-        Result part = run_with_retry();
-        const auto end = obs::Tracer::Clock::now();
-        obs::complete("engine", "shard", start, end,
-                      {{"shots", shard.shots}, {"wait_ns", wait_ns}});
-        const EngineMetrics &m = engineMetrics();
-        obs::count(m.shards);
-        obs::count(m.shots, shard.shots);
-        obs::observe(m.shardRunNs, elapsedNs(start, end));
-        obs::observe(m.shardQueueWaitNs, wait_ns);
-        return part;
-    };
-}
-
-std::vector<std::future<Result>>
-ExecutionEngine::dispatch(
-    const Job &job, const BackendPtr &backend,
-    const std::shared_ptr<std::atomic<std::size_t>> &retries)
-{
-    const std::vector<Shard> plan =
-        shardPlan(job.shots, job.seed, *backend);
-    const std::size_t lanes =
-        checkAndLaneCount(job, backend, plan.size());
-
-    std::vector<std::future<Result>> futures;
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        futures.push_back(pool_.submit(
-            shardRunner(job, backend, plan[i], lanes, i,
-                        /*skip_on_cancel=*/true, retries)));
-    return futures;
-}
-
-Result
-ExecutionEngine::run(const Job &job)
-{
-    if (!job.circuit)
-        throw ValueError("job has no circuit");
-    const auto start = obs::Tracer::Clock::now();
-    obs::count(engineMetrics().jobs);
-    const BackendPtr backend =
-        registry_->resolve(job.backend, *job.circuit, job.noise);
-    armJobDeadline(job);
-    auto retries = std::make_shared<std::atomic<std::size_t>>(0);
-    std::vector<std::future<Result>> futures =
-        dispatch(job, backend, retries);
-    Result merged(job.circuit->numClbits());
-    for (std::future<Result> &future : futures)
-        merged.merge(future.get());
-    stampCancelledFixed(merged, job);
-    ExecStats stats;
-    stats.shards = futures.size();
-    stats.retries = retries->load(std::memory_order_relaxed);
-    stats.engineSeconds = std::chrono::duration<double>(
-                              obs::Tracer::Clock::now() - start)
-                              .count();
-    merged.setExecStats(stats);
-    return merged;
-}
-
-Result
-ExecutionEngine::run(const Circuit &circuit, std::size_t shots,
-                     const std::string &backend, std::uint64_t seed,
-                     const NoiseModel *noise)
-{
-    return run(Job(circuit, shots, backend, seed, noise));
-}
-
-std::future<Result>
-ExecutionEngine::submit(Job job)
-{
-    if (!job.circuit)
-        throw ValueError("job has no circuit");
-    const auto start = obs::Tracer::Clock::now();
-    obs::count(engineMetrics().jobs);
-    const BackendPtr backend =
-        registry_->resolve(job.backend, *job.circuit, job.noise);
-    armJobDeadline(job);
-    auto retries = std::make_shared<std::atomic<std::size_t>>(0);
-    // Shards go to the pool now; the merge is deferred to get() so a
-    // waiting caller never occupies a pool thread.
-    auto futures = std::make_shared<std::vector<std::future<Result>>>(
-        dispatch(job, backend, retries));
-    const std::size_t num_clbits = job.circuit->numClbits();
-    return std::async(
-        std::launch::deferred,
-        [futures, num_clbits, start, retries,
-         job = std::move(job)]() {
-            Result merged(num_clbits);
-            for (std::future<Result> &future : *futures)
-                merged.merge(future.get());
-            stampCancelledFixed(merged, job);
-            ExecStats stats;
-            stats.shards = futures->size();
-            stats.retries = retries->load(std::memory_order_relaxed);
-            stats.engineSeconds =
-                std::chrono::duration<double>(
-                    obs::Tracer::Clock::now() - start)
-                    .count();
-            merged.setExecStats(stats);
-            return merged;
-        });
-}
-
-void
-ExecutionEngine::submitAsync(Job job, Completion on_complete)
-{
-    if (!on_complete)
-        throw ValueError("submitAsync requires a completion callback");
-    if (!job.circuit)
-        throw ValueError("job has no circuit");
-    const auto start_time = obs::Tracer::Clock::now();
-    obs::count(engineMetrics().jobs);
-    const BackendPtr backend =
-        registry_->resolve(job.backend, *job.circuit, job.noise);
-    armJobDeadline(job);
-    const std::vector<Shard> plan =
-        shardPlan(job.shots, job.seed, *backend);
-    const std::size_t lanes =
-        checkAndLaneCount(job, backend, plan.size());
-
-    // Shared completion state: the last shard to finish merges the
-    // parts in shard order (bit-identical to run()) and invokes the
-    // callback on its pool thread — no thread ever blocks in a join.
-    struct AsyncState
-    {
-        std::mutex mutex;
-        std::vector<Result> parts;
-        std::size_t remaining;
-        std::size_t numClbits;
-        std::size_t requestedShots = 0;
-        CancelToken cancel;
-        std::atomic<std::size_t> retryCount{0};
-        Completion callback;
-        std::exception_ptr error;
-        obs::Tracer::Clock::time_point start;
-    };
-    auto state = std::make_shared<AsyncState>();
-    state->parts.assign(plan.size(), Result(job.circuit->numClbits()));
-    state->remaining = plan.size();
-    state->numClbits = job.circuit->numClbits();
-    state->requestedShots = job.shots;
-    state->cancel = job.cancel;
-    state->callback = std::move(on_complete);
-    state->start = start_time;
-    // Aliased handle: shard retries land in the state's counter and
-    // keep it alive alongside the shard closures.
-    auto retries = std::shared_ptr<std::atomic<std::size_t>>(
-        state, &state->retryCount);
-
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        pool_.submit([runner = shardRunner(job, backend, plan[i],
-                                           lanes, i,
-                                           /*skip_on_cancel=*/true,
-                                           retries),
-                      state, i]() {
-            Result part(state->numClbits);
-            std::exception_ptr error;
-            try {
-                part = runner();
-            } catch (...) {
-                error = std::current_exception();
-            }
-            bool last = false;
-            {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->parts[i] = std::move(part);
-                if (error && !state->error)
-                    state->error = error;
-                last = --state->remaining == 0;
-            }
-            if (!last)
-                return;
-            if (state->error) {
-                // A throwing callback would otherwise vanish into a
-                // discarded pool future; invokeGuarded surfaces it.
-                invokeGuarded("submitAsync completion callback",
-                              state->callback,
-                              Result(state->numClbits), state->error);
-                return;
-            }
-            try {
-                Result merged(state->numClbits);
-                for (Result &shard_result : state->parts)
-                    merged.merge(shard_result);
-                if (state->cancel.poll() &&
-                    merged.shots() < state->requestedShots) {
-                    merged.setShotsRequested(state->requestedShots);
-                    merged.setCancelled(cancelReasonName(
-                        state->cancel.reason()));
-                    obs::count(engineMetrics().cancelled);
-                }
-                ExecStats stats;
-                stats.shards = state->parts.size();
-                stats.retries = state->retryCount.load(
-                    std::memory_order_relaxed);
-                stats.engineSeconds =
-                    std::chrono::duration<double>(
-                        obs::Tracer::Clock::now() - state->start)
-                        .count();
-                merged.setExecStats(stats);
-                invokeGuarded("submitAsync completion callback",
-                              state->callback, std::move(merged),
-                              nullptr);
-            } catch (...) {
-                // Merge failure: deliver it rather than dropping the
-                // completion on the floor.
-                invokeGuarded("submitAsync completion callback",
-                              state->callback,
-                              Result(state->numClbits),
-                              std::current_exception());
-            }
-        });
-    }
-}
-
-namespace {
-
 /**
- * Shared state of one adaptive run. Wave bookkeeping (parts,
- * remaining) is guarded by the mutex; everything else is only touched
- * by the dispatching thread or by the wave's last-finishing shard —
- * the release/acquire pair on the final `--remaining` orders those
+ * One job's wave state. Wave bookkeeping (parts, remaining, error) is
+ * guarded by the mutex; everything else is only touched by the
+ * dispatching thread or by the wave's last-finishing shard — the
+ * release/acquire pair on the final `--remaining` orders those
  * accesses, so the merge/evaluate/relaunch sequence runs unlocked.
+ * Shards only read the fields fixed before the first wave (job,
+ * backend, plan, lanes, faults).
  */
-struct AdaptiveState
+struct ExecutionEngine::JobRun
 {
     Job job;
     BackendPtr backend;
@@ -500,10 +201,9 @@ struct AdaptiveState
     /** Resolved fault plan (job's own or QRA_FAULTS; may be null). */
     const FaultPlan *faults = nullptr;
 
+    /** Shards [0, nextShard) are merged; the next wave starts here,
+        and a failed wave leaves it at that wave's first shard. */
     std::size_t nextShard = 0;
-    /** First shard of the in-flight wave — the checkpoint cursor is
-        rewound here when the wave fails, so its shots are not lost. */
-    std::size_t waveBegin = 0;
     std::size_t wave = 0;
     /** Shots adopted from Job::resumeFrom (0 = fresh run). */
     std::size_t resumedShots = 0;
@@ -515,175 +215,274 @@ struct AdaptiveState
     std::uint64_t waveSpanId = 0;
 
     std::mutex mutex;
-    std::vector<Result> parts;
+    /** One slot per shard of the wave; empty = skipped (dequeued
+        after cancellation). */
+    std::vector<std::optional<Result>> parts;
     std::size_t remaining = 0;
     std::exception_ptr error;
 
-    ExecutionEngine::Progress progress;
-    ExecutionEngine::Completion done;
-    /** Captures only the engine; the pool tasks keep `this` alive. */
-    std::function<void(std::shared_ptr<AdaptiveState>)> launchWave;
+    Progress progress;
+    Completion done;
+
+    /**
+     * Fill the job's checkpoint sink (if any) with the current
+     * cursor. Called with the wave machinery quiescent: at
+     * completion, cancellation, and wave failure. The stored merge is
+     * the raw shard prefix, before any completion stamping, so
+     * resuming merges cleanly on top of it.
+     */
+    void
+    writeCheckpoint() const
+    {
+        if (!job.checkpoint)
+            return;
+        JobCheckpoint &ck = *job.checkpoint;
+        ck.circuitHash = job.circuit->hash();
+        ck.seed = job.seed;
+        ck.budget = budget;
+        ck.planShards = plan.size();
+        ck.nextShard = nextShard;
+        ck.wave = wave;
+        ck.merged = merged;
+        ck.lastStatus = lastStatus;
+    }
 };
 
-/**
- * Fill the job's checkpoint sink (if any) with the current cursor.
- * Called with the wave machinery quiescent: at completion,
- * cancellation, and wave failure (cursor rewound to the failing
- * wave's first shard — its shards re-run on resume). The stored
- * merged Result is the raw shard merge, before any completion
- * stamping, so resuming merges cleanly on top of it.
- */
-void
-writeCheckpoint(const std::shared_ptr<AdaptiveState> &state,
-                std::size_t next_shard)
+Result
+ExecutionEngine::runShard(JobRun &run, std::size_t index)
 {
-    if (!state->job.checkpoint)
-        return;
-    JobCheckpoint &ck = *state->job.checkpoint;
-    ck.circuitHash = state->job.circuit->hash();
-    ck.seed = state->job.seed;
-    ck.budget = state->budget;
-    ck.planShards = state->plan.size();
-    ck.nextShard = next_shard;
-    ck.wave = state->wave;
-    ck.merged = state->merged;
-    ck.lastStatus = state->lastStatus;
+    const Job &job = run.job;
+    const Shard &shard = run.plan[index];
+    kernels::ParallelScope scope(&pool_, run.lanes);
+    kernels::FusionScope fusion_scope(options_.fusionLevel);
+    kernels::simd::TierScope tier_scope(options_.simdTier);
+    kernels::CacheBlockScope block_scope(options_.cacheBlockBytes);
+    kernels::PlanCacheScope cache_scope(job.artifacts.get());
+    // Transient failures (TransientSimulationError, bad_alloc —
+    // injected or real) re-run the shard with its ORIGINAL seed: a
+    // recovered run's counts are bit-identical to a fault-free one.
+    // Permanent errors and exhausted budgets propagate.
+    for (std::size_t attempt = 0;; ++attempt) {
+        try {
+            maybeInjectFault(run.faults, FaultSite::Scope::Shard, index,
+                             attempt);
+            return run.backend->run(*job.circuit, shard.shots,
+                                    shard.seed, job.noise);
+        } catch (...) {
+            const std::exception_ptr error = std::current_exception();
+            if (!isTransient(error) ||
+                attempt + 1 >= job.retry.maxAttempts ||
+                job.cancel.cancelled())
+                std::rethrow_exception(error);
+            run.retryCount.fetch_add(1, std::memory_order_relaxed);
+            obs::count(engineMetrics().retries);
+            const double delay_ms =
+                retryBackoffMs(job.retry, attempt + 1, shard.seed);
+            if (delay_ms > 0.0)
+                std::this_thread::sleep_for(
+                    std::chrono::duration<double, std::milli>(
+                        delay_ms));
+        }
+    }
 }
 
-/** Wave epilogue, run by the wave's last-finishing shard. */
 void
-finishAdaptiveWave(const std::shared_ptr<AdaptiveState> &state)
+ExecutionEngine::launchWave(const std::shared_ptr<JobRun> &run)
 {
-    // Wave-scope fault sites fail the epilogue itself (there is no
-    // per-wave retry — recovery is the checkpoint/resume path).
-    if (!state->error) {
-        try {
-            maybeInjectFault(state->faults, FaultSite::Scope::Wave,
-                             state->wave, 0);
-        } catch (...) {
-            state->error = std::current_exception();
-        }
-    }
-    if (state->error) {
-        // The failing wave's parts are discarded; rewind the
-        // checkpoint cursor to its first shard so a resume re-runs
-        // exactly the lost shots.
-        writeCheckpoint(state, state->waveBegin);
-        invokeGuarded("submitAdaptive completion callback",
-                      state->done, Result(state->numClbits),
-                      state->error);
+    const std::size_t begin = run->nextShard;
+    const std::size_t count =
+        std::min(run->perWave, run->plan.size() - begin);
+    run->parts.assign(count, std::nullopt);
+    run->remaining = count;
+    if (count == 0) {
+        // Resuming an exhausted checkpoint: no shard will finish a
+        // wave, so a lone task runs the epilogue, which re-evaluates
+        // the rule on the merged counts and completes.
+        pool_.submit([this, run]() { finishWave(run); });
         return;
     }
-    // Merge in shard order: together with waves walking the plan in
-    // shard-index order this reproduces run()'s merge order exactly.
-    {
-        obs::Span merge_span("engine", "wave_merge",
-                             {{"wave", state->wave + 1},
-                              {"parts", state->parts.size()}});
-        for (Result &part : state->parts)
-            state->merged.merge(part);
+    if (obs::tracingEnabled()) {
+        // Wave shards cross threads, so the wave itself is an async
+        // begin/end pair closed by the wave epilogue.
+        run->waveSpanId = obs::Tracer::global().nextAsyncId();
+        obs::asyncBegin("engine", "wave", run->waveSpanId,
+                        {{"wave", run->wave + 1}, {"shards", count}});
     }
-    ++state->wave;
-    obs::count(engineMetrics().waves);
+    // The enqueue timestamp is only captured when telemetry is on:
+    // the disabled path stays free of clock reads.
+    const obs::Tracer::Clock::time_point enqueued =
+        obs::anyEnabled() ? obs::Tracer::Clock::now()
+                          : obs::Tracer::Clock::time_point{};
+    for (std::size_t i = 0; i < count; ++i) {
+        pool_.submit([this, run, i, index = begin + i, enqueued]() {
+            std::optional<Result> part;
+            std::exception_ptr error;
+            // A shard dequeued after cancel() (or the deadline) runs
+            // nothing; the epilogue merges only the prefix before it.
+            if (!run->job.cancel.poll()) {
+                try {
+                    if (!obs::anyEnabled()) {
+                        part = runShard(*run, index);
+                    } else {
+                        const auto start = obs::Tracer::Clock::now();
+                        const std::uint64_t wait_ns =
+                            elapsedNs(enqueued, start);
+                        part = runShard(*run, index);
+                        const auto end = obs::Tracer::Clock::now();
+                        const std::size_t shots =
+                            run->plan[index].shots;
+                        obs::complete(
+                            "engine", "shard", start, end,
+                            {{"shots", shots}, {"wait_ns", wait_ns}});
+                        const EngineMetrics &m = engineMetrics();
+                        obs::count(m.shards);
+                        obs::count(m.shots, shots);
+                        obs::observe(m.shardRunNs,
+                                     elapsedNs(start, end));
+                        obs::observe(m.shardQueueWaitNs, wait_ns);
+                    }
+                } catch (...) {
+                    error = std::current_exception();
+                }
+            }
+            bool last = false;
+            {
+                std::lock_guard<std::mutex> lock(run->mutex);
+                run->parts[i] = std::move(part);
+                if (error && !run->error)
+                    run->error = error;
+                last = --run->remaining == 0;
+            }
+            if (last)
+                finishWave(run);
+        });
+    }
+}
 
-    StoppingStatus status;
-    {
-        obs::Span eval_span("engine", "stopping_eval",
-                            {{"wave", state->wave}});
-        if (state->job.stopping.enabled()) {
-            try {
-                status =
-                    evaluateStopping(state->job.stopping,
-                                     state->merged,
-                                     state->job.instrumented.get());
-            } catch (...) {
-                invokeGuarded("submitAdaptive completion callback",
-                              state->done, Result(state->numClbits),
-                              std::current_exception());
-                return;
-            }
-        } else {
-            // No convergence target: waves always run the full
-            // budget, but when the job carries enough decode
-            // bookkeeping the statistic is still evaluated so
-            // streaming consumers see a live estimate rather than
-            // the defaults.
-            try {
-                status =
-                    evaluateStopping(state->job.stopping,
-                                     state->merged,
-                                     state->job.instrumented.get());
-            } catch (const Error &) {
-                // Nothing to watch (e.g. any-error without
-                // assertions): stream shot progress only.
-                status.shotsDone = state->merged.shots();
-            }
+void
+ExecutionEngine::finishWave(const std::shared_ptr<JobRun> &run)
+try {
+    // Wave-scope fault sites fail the epilogue itself (there is no
+    // per-wave retry — recovery is the checkpoint/resume path).
+    if (!run->error) {
+        try {
+            maybeInjectFault(run->faults, FaultSite::Scope::Wave,
+                             run->wave, 0);
+        } catch (...) {
+            run->error = std::current_exception();
         }
     }
-    status.wave = state->wave;
-    status.shotsRequested = state->budget;
-    // Cancellation is polled only here, at the wave boundary: the
-    // wave that was in flight when cancel() fired still merges in
-    // full, so the checkpoint cursor always sits between waves.
-    status.cancelled = state->job.cancel.poll();
-    status.finished = status.converged || status.cancelled ||
-                      state->nextShard >= state->plan.size();
-    state->lastStatus = status;
+    if (run->error) {
+        // The failing wave's parts are discarded and the cursor stays
+        // at its first shard, so a resume re-runs exactly the lost
+        // shots.
+        run->writeCheckpoint();
+        invokeGuarded("completion callback", run->done,
+                      Result(run->numClbits), run->error);
+        return;
+    }
+    // Merge in shard order up to the first shard that did not run:
+    // together with waves walking the plan in index order, the merge
+    // is always the longest completed prefix of the shard plan —
+    // bit-identical to run() of those shards. Shards that finished
+    // after the gap are discarded.
+    {
+        obs::Span merge_span("engine", "wave_merge",
+                             {{"wave", run->wave + 1},
+                              {"parts", run->parts.size()}});
+        for (std::optional<Result> &part : run->parts) {
+            if (!part)
+                break;
+            run->merged.merge(*part);
+            ++run->nextShard;
+        }
+    }
+    ++run->wave;
+    obs::count(engineMetrics().waves);
 
-    if (state->waveSpanId != 0) {
-        obs::asyncEnd("engine", "wave", state->waveSpanId);
-        state->waveSpanId = 0;
+    const StoppingRule &rule = run->job.stopping;
+    StoppingStatus status;
+    if (rule.enabled() || run->progress) {
+        obs::Span eval_span("engine", "stopping_eval",
+                            {{"wave", run->wave}});
+        try {
+            status = evaluateStopping(rule, run->merged,
+                                      run->job.instrumented.get());
+        } catch (const Error &) {
+            // An enabled rule was validated at submit. A disabled one
+            // may have nothing to watch (any-error without
+            // assertions): stream shot progress only.
+            if (rule.enabled())
+                throw;
+        }
+    }
+    const bool exhausted = run->nextShard >= run->plan.size();
+    status.shotsDone = run->merged.shots();
+    status.wave = run->wave;
+    status.shotsRequested = run->budget;
+    // Cancelled means cancellation cut the run short: shards remain
+    // and the token fired (a skipped shard implies it did).
+    status.cancelled =
+        !status.converged && !exhausted && run->job.cancel.poll();
+    status.finished = status.converged || status.cancelled || exhausted;
+    run->lastStatus = status;
+
+    if (run->waveSpanId != 0) {
+        obs::asyncEnd("engine", "wave", run->waveSpanId);
+        run->waveSpanId = 0;
     }
 
-    if (state->progress)
-        invokeGuarded("submitAdaptive progress callback",
-                      state->progress, state->merged, status);
+    if (run->progress)
+        invokeGuarded("progress callback", run->progress, run->merged,
+                      status);
 
     if (!status.finished) {
-        state->launchWave(state);
+        launchWave(run);
         return;
     }
     // Checkpoint before completion stamping: the stored merge is the
     // raw shard prefix a resume continues from.
-    writeCheckpoint(state, state->nextShard);
-    Result final_result = std::move(state->merged);
-    final_result.setShotsRequested(state->budget);
+    run->writeCheckpoint();
+    Result final_result = std::move(run->merged);
+    final_result.setShotsRequested(run->budget);
     final_result.setStoppedEarly(status.converged &&
-                                 final_result.shots() <
-                                     state->budget);
+                                 final_result.shots() < run->budget);
     if (status.cancelled) {
         final_result.setCancelled(
-            cancelReasonName(state->job.cancel.reason()));
+            cancelReasonName(run->job.cancel.reason()));
         obs::count(engineMetrics().cancelled);
     }
     ExecStats stats;
-    stats.shards = state->nextShard;
-    stats.waves = state->wave;
-    stats.retries = state->retryCount.load(std::memory_order_relaxed);
-    stats.resumedShots = state->resumedShots;
+    stats.shards = run->nextShard;
+    stats.waves = run->wave;
+    stats.retries = run->retryCount.load(std::memory_order_relaxed);
+    stats.resumedShots = run->resumedShots;
     stats.engineSeconds = std::chrono::duration<double>(
-                              obs::Tracer::Clock::now() - state->start)
+                              obs::Tracer::Clock::now() - run->start)
                               .count();
     final_result.setExecStats(stats);
-    if (obs::metricsEnabled() && !status.cancelled) {
+    if (obs::metricsEnabled() && rule.enabled() && !status.cancelled) {
         const EngineMetrics &m = engineMetrics();
-        obs::count(m.adaptiveBudgetShots, state->budget);
+        obs::count(m.adaptiveBudgetShots, run->budget);
         obs::count(m.adaptiveShotsSaved,
-                   state->budget - final_result.shots());
+                   run->budget - final_result.shots());
     }
-    invokeGuarded("submitAdaptive completion callback", state->done,
+    invokeGuarded("completion callback", run->done,
                   std::move(final_result), nullptr);
+} catch (...) {
+    // An epilogue throw (merge failure, next-wave dispatch onto a
+    // stopping pool) would vanish into the pool task's discarded
+    // future and leave the job uncompleted; deliver it instead.
+    invokeGuarded("completion callback", run->done,
+                  Result(run->numClbits), std::current_exception());
 }
 
-} // namespace
-
 void
-ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
-                                Completion on_complete)
+ExecutionEngine::submit(Job job, Completion on_complete,
+                        Progress on_progress)
 {
     if (!on_complete)
-        throw ValueError(
-            "submitAdaptive requires a completion callback");
+        throw ValueError("submit requires a completion callback");
     if (!job.circuit)
         throw ValueError("job has no circuit");
     const auto start_time = obs::Tracer::Clock::now();
@@ -695,8 +494,6 @@ ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
     const StoppingRule &rule = job.stopping;
     const std::size_t budget =
         rule.maxShots != 0 ? rule.maxShots : job.shots;
-    if (budget == 0)
-        throw ValueError("adaptive job has no shot budget");
     // Misconfigured rules (assertion statistic without an
     // instrumented circuit, bad check index, bad outcome string) must
     // throw here, synchronously, not inside a pool callback.
@@ -704,36 +501,35 @@ ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
         evaluateStopping(rule, Result(job.circuit->numClbits()),
                          job.instrumented.get());
 
-    auto state = std::make_shared<AdaptiveState>();
-    // Waves partition the *budget's* shard plan by shard index; the
-    // plan (and with it every shard's shots and RNG stream) is the
-    // same one run() would use for the full budget, which is what
-    // makes waved counts bit-identical to a single block.
-    state->plan = shardPlan(budget, job.seed, *backend);
+    auto run = std::make_shared<JobRun>();
+    // Waves partition the budget's shard plan by shard index, so
+    // every shard's shots and RNG stream are the same whatever the
+    // wave size — which is what makes waved counts bit-identical to
+    // a single wave.
+    run->plan = shardPlan(budget, job.seed, *backend);
     if (rule.waveShots > 0) {
         // Round the requested wave size up to whole shards.
-        const std::size_t avg_shard = std::max<std::size_t>(
-            1, budget / state->plan.size());
-        state->perWave = std::clamp<std::size_t>(
+        const std::size_t avg_shard =
+            std::max<std::size_t>(1, budget / run->plan.size());
+        run->perWave = std::clamp<std::size_t>(
             (rule.waveShots + avg_shard - 1) / avg_shard, 1,
-            state->plan.size());
+            run->plan.size());
     } else if (!rule.enabled()) {
-        // No convergence target and no explicit wave size: one wave
-        // of the whole plan, i.e. run()'s schedule (full shard
-        // parallelism) plus a single progress report.
-        state->perWave = state->plan.size();
+        // A fixed budget: one wave of the whole plan (full shard
+        // parallelism, one epilogue).
+        run->perWave = run->plan.size();
     } else {
         // Auto wave size: about one shard per pool thread keeps the
         // pool busy within a wave without overshooting the stopping
         // point by more than a pool-width of shards.
-        state->perWave = std::clamp<std::size_t>(
-            pool_.size(), 1, state->plan.size());
+        run->perWave = std::clamp<std::size_t>(pool_.size(), 1,
+                                               run->plan.size());
     }
-    state->lanes = checkAndLaneCount(job, backend, state->perWave);
-    state->budget = budget;
-    state->numClbits = job.circuit->numClbits();
-    state->merged = Result(state->numClbits);
-    state->faults = effectiveFaultPlan(job);
+    run->lanes = checkAndLaneCount(job, backend, run->perWave);
+    run->budget = budget;
+    run->numClbits = job.circuit->numClbits();
+    run->merged = Result(run->numClbits);
+    run->faults = effectiveFaultPlan(job);
 
     // Resume: adopt a prior run's cursor after validating that it
     // describes THIS job's shard plan — same circuit, seed, budget,
@@ -755,139 +551,72 @@ ExecutionEngine::submitAdaptive(Job job, Progress on_progress,
         if (ck.budget != budget)
             throw ValueError(
                 "resume checkpoint is for a different shot budget");
-        if (ck.planShards != state->plan.size())
+        if (ck.planShards != run->plan.size())
             throw ValueError(
                 "resume checkpoint shard plan does not match this "
                 "engine's (different shardShots/maxShards?)");
         if (ck.merged.shots() > 0 &&
-            ck.merged.numClbits() != state->numClbits)
+            ck.merged.numClbits() != run->numClbits)
             throw ValueError(
                 "resume checkpoint counts have the wrong register "
                 "width");
-        state->nextShard = std::min(ck.nextShard, ck.planShards);
-        state->wave = ck.wave;
+        run->nextShard = std::min(ck.nextShard, ck.planShards);
+        run->wave = ck.wave;
         if (ck.merged.shots() > 0)
-            state->merged = ck.merged;
-        state->resumedShots = ck.merged.shots();
-        obs::count(engineMetrics().resumedShots,
-                   state->resumedShots);
+            run->merged = ck.merged;
+        run->resumedShots = ck.merged.shots();
+        obs::count(engineMetrics().resumedShots, run->resumedShots);
     }
 
-    state->backend = backend;
-    state->job = std::move(job);
-    state->progress = std::move(on_progress);
-    state->done = std::move(on_complete);
-    state->start = start_time;
-    state->launchWave = [this](std::shared_ptr<AdaptiveState> st) {
-        const std::size_t begin = st->nextShard;
-        st->waveBegin = begin;
-        const std::size_t count =
-            std::min(st->perWave, st->plan.size() - begin);
-        st->nextShard = begin + count;
-        if (obs::tracingEnabled()) {
-            // Wave shards cross threads, so the wave itself is an
-            // async begin/end pair closed by the wave epilogue.
-            st->waveSpanId = obs::Tracer::global().nextAsyncId();
-            obs::asyncBegin("engine", "wave", st->waveSpanId,
-                            {{"wave", st->wave + 1},
-                             {"shards", count}});
-        }
-        st->parts.assign(count, Result(st->numClbits));
-        st->remaining = count;
-        for (std::size_t i = 0; i < count; ++i) {
-            pool_.submit([st, i,
-                          runner = shardRunner(
-                              st->job, st->backend,
-                              st->plan[begin + i], st->lanes,
-                              begin + i, /*skip_on_cancel=*/false,
-                              std::shared_ptr<
-                                  std::atomic<std::size_t>>(
-                                  st, &st->retryCount))]() {
-                Result part(st->numClbits);
-                std::exception_ptr error;
-                try {
-                    part = runner();
-                } catch (...) {
-                    error = std::current_exception();
-                }
-                bool last = false;
-                {
-                    std::lock_guard<std::mutex> lock(st->mutex);
-                    st->parts[i] = std::move(part);
-                    if (error && !st->error)
-                        st->error = error;
-                    last = --st->remaining == 0;
-                }
-                if (!last)
-                    return;
-                // An epilogue throw (merge failure, next-wave
-                // dispatch onto a stopping pool) would vanish into
-                // this task's discarded future and leave the job
-                // uncompleted; deliver it instead.
-                try {
-                    finishAdaptiveWave(st);
-                } catch (...) {
-                    invokeGuarded(
-                        "submitAdaptive completion callback",
-                        st->done, Result(st->numClbits),
-                        std::current_exception());
-                }
-            });
-        }
-    };
-    if (state->nextShard >= state->plan.size()) {
-        // Resuming an exhausted checkpoint: nothing left to run. Go
-        // straight to the epilogue on a pool thread (a zero-shard
-        // wave would never have a last-finishing shard to drive it)
-        // — it re-evaluates the rule on the merged counts and
-        // completes.
-        pool_.submit([state]() {
-            try {
-                finishAdaptiveWave(state);
-            } catch (...) {
-                invokeGuarded("submitAdaptive completion callback",
-                              state->done, Result(state->numClbits),
-                              std::current_exception());
-            }
-        });
-        return;
-    }
-    state->launchWave(state);
+    run->backend = backend;
+    run->job = std::move(job);
+    run->progress = std::move(on_progress);
+    run->done = std::move(on_complete);
+    run->start = start_time;
+    launchWave(run);
+}
+
+std::future<Result>
+ExecutionEngine::submit(Job job)
+{
+    auto promise = std::make_shared<std::promise<Result>>();
+    std::future<Result> future = promise->get_future();
+    submit(std::move(job), settlePromise(std::move(promise)));
+    return future;
 }
 
 Result
-ExecutionEngine::runAdaptive(const Job &job, Progress on_progress)
+ExecutionEngine::run(const Job &job, Progress on_progress)
 {
-    // Heap-held promise: the pool-side callback may still be inside
-    // set_value's epilogue when get() unblocks this thread.
     auto promise = std::make_shared<std::promise<Result>>();
     std::future<Result> future = promise->get_future();
-    submitAdaptive(
-        job, std::move(on_progress),
-        [promise](Result result, std::exception_ptr error) {
-            if (error)
-                promise->set_exception(error);
-            else
-                promise->set_value(std::move(result));
-        });
-    // Safe to park here: the caller is not a pool thread (the same
-    // contract as future-based submit()), so waves drain freely.
+    submit(job, settlePromise(std::move(promise)),
+           std::move(on_progress));
+    // Safe to park here: the caller is not a pool thread, so waves
+    // drain freely.
     return future.get();
 }
 
-AssertionReport
-ExecutionEngine::runInstrumented(const InstrumentedCircuit &inst,
-                                 std::size_t shots,
-                                 const std::string &backend,
-                                 std::uint64_t seed,
-                                 const NoiseModel *noise,
-                                 Result *result_out)
+Result
+ExecutionEngine::run(const Circuit &circuit, std::size_t shots,
+                     const std::string &backend, std::uint64_t seed,
+                     const NoiseModel *noise)
 {
-    const Result result =
-        run(inst.circuit(), shots, backend, seed, noise);
-    if (result_out != nullptr)
-        *result_out = result;
-    return analyze(inst, result);
+    return run(Job(circuit, shots, backend, seed, noise));
+}
+
+ExecutionEngine::Completion
+settlePromise(std::shared_ptr<std::promise<Result>> promise)
+{
+    // Heap-held promise: the pool-side callback may still be inside
+    // set_value's epilogue when get() unblocks the waiting thread.
+    return [promise = std::move(promise)](Result result,
+                                          std::exception_ptr error) {
+        if (error)
+            promise->set_exception(error);
+        else
+            promise->set_value(std::move(result));
+    };
 }
 
 } // namespace runtime

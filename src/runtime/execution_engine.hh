@@ -7,23 +7,24 @@
  * only on the job (shots, seed, backend capabilities, engine shard
  * options) — never on the thread count. Each shard runs on the
  * thread pool with an RNG stream split from the job seed by shard
- * index, and the partial Results are merged in shard order, so the
+ * index. Shards execute in waves (one wave for a fixed budget), and
+ * each wave's last-finishing shard merges it in shard order, so the
  * merged counts for a fixed seed are bit-identical whether the
- * engine drives 1 thread or 64.
+ * engine drives 1 thread or 64. One callback path, submit(), runs
+ * every job; the future and blocking forms are thin adapters.
  */
 
 #ifndef QRA_RUNTIME_EXECUTION_ENGINE_HH
 #define QRA_RUNTIME_EXECUTION_ENGINE_HH
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "assertions/injector.hh"
-#include "assertions/report.hh"
 #include "circuit/circuit.hh"
 #include "noise/noise_model.hh"
 #include "runtime/backend_registry.hh"
@@ -60,10 +61,10 @@ struct Job
     std::shared_ptr<kernels::PlanCache> artifacts;
 
     /**
-     * Early-stopping policy for the adaptive entry points
-     * (runAdaptive/submitAdaptive). When the convergence target is
-     * unset the adaptive paths still execute in waves but always run
-     * the full budget. Ignored by run()/submit()/submitAsync().
+     * Early-stopping policy. Every job executes its budget's shard
+     * plan in waves; when the convergence target is unset the waves
+     * run the whole budget, and with waveShots also 0 the whole plan
+     * is one wave.
      */
     StoppingRule stopping;
 
@@ -77,12 +78,11 @@ struct Job
 
     /**
      * Cooperative cancellation handle. Keep a copy and call
-     * cancel(): fixed-budget paths skip every shard not yet started,
-     * adaptive paths stop at the next wave boundary (in-flight wave
-     * shards always finish so checkpoints stay wave-aligned). The
-     * delivered Result is the merge of exactly the shards that
-     * completed — bit-identical to those shards of an uncancelled
-     * run — stamped cancelled().
+     * cancel(): a shard the pool dequeues after cancel() runs
+     * nothing, and no further wave launches. The delivered Result is
+     * the longest completed prefix of the shard plan — bit-identical
+     * to run() of those shards' shots — stamped cancelled(); shards
+     * that finished after the first skipped one are discarded.
      */
     CancelToken cancel;
 
@@ -106,17 +106,16 @@ struct Job
     std::shared_ptr<const FaultPlan> faults;
 
     /**
-     * Checkpoint sink for the adaptive paths: when set, the engine
-     * writes the job's resumable cursor here at completion,
-     * cancellation, and wave failure (see checkpoint.hh). Ignored by
-     * the fixed-budget paths.
+     * Checkpoint sink: when set, the engine writes the job's
+     * resumable cursor here at completion, cancellation, and wave
+     * failure (see checkpoint.hh).
      */
     std::shared_ptr<JobCheckpoint> checkpoint;
 
     /**
-     * Resume source for the adaptive paths: skip the shards a prior
-     * run already merged. Must match this job's circuit, seed, and
-     * budget (validated synchronously); the stopping rule may differ.
+     * Resume source: skip the shards a prior run already merged.
+     * Must match this job's circuit, seed, and budget (validated
+     * synchronously); the stopping rule may differ.
      */
     std::shared_ptr<const JobCheckpoint> resumeFrom;
 
@@ -223,11 +222,69 @@ class ExecutionEngine
                                  const Backend &backend) const;
 
     /**
-     * Execute @p job synchronously; shards run on the pool while the
-     * calling thread merges. @throws SimulationError/ValueError on
-     * unsupported circuits or unknown backend names.
+     * Completion callback: the final Result, or — if a shard or a
+     * wave failed — a default Result plus the first error.
      */
-    Result run(const Job &job);
+    using Completion = std::function<void(Result, std::exception_ptr)>;
+
+    /**
+     * Streaming callback: the merged partial Result after each wave
+     * plus the stopping evaluation. Invoked on a pool thread,
+     * strictly between waves (never concurrently with shard
+     * execution of the same job), so the partial may be read without
+     * locking but must not be retained past the callback's return —
+     * the next wave mutates it.
+     */
+    using Progress =
+        std::function<void(const Result &, const StoppingStatus &)>;
+
+    /**
+     * Dispatch @p job and deliver its Result through @p onComplete.
+     *
+     * The budget (stopping.maxShots, defaulting to job.shots) is laid
+     * out as the deterministic shard plan and executed in waves of
+     * ~stopping.waveShots shots; 0 = the whole plan in one wave when
+     * no convergence target is set, about one shard per pool thread
+     * otherwise. The last shard of each wave merges the wave in
+     * shard order, evaluates the stopping rule, streams the partial
+     * to @p onProgress (optional), and either launches the next wave
+     * or completes. A run ends early once the watched statistic's
+     * Wilson 95% half-width reaches the target (past any minShots
+     * floor); the Result then carries stoppedEarly(), and always
+     * shotsRequested() = budget.
+     *
+     * Determinism: waves partition the shard plan by index and merge
+     * in shard order, so counts depend on the job and the shard
+     * options only — never on threads or wave size. An early-stopped
+     * run equals run() of the shots actually taken whenever those
+     * form the same shard decomposition (budget a multiple of
+     * shardShots, within maxShards).
+     *
+     * Cancellation (Job::cancel, Job::deadlineMs) delivers the longest
+     * completed prefix of the shard plan, stamped cancelled(); with
+     * Job::checkpoint set, a job resumed from that cursor finishes
+     * bit-identical to an uninterrupted run.
+     *
+     * Both callbacks run on pool threads: they must not block on
+     * pool work they wait for themselves (submitting new jobs is
+     * fine), and should not throw — an escaping exception is logged
+     * as a warning and dropped. Dispatch errors (unknown backend,
+     * rejected circuit, misconfigured stopping rule, mismatched
+     * resume checkpoint) throw synchronously.
+     */
+    void submit(Job job, Completion onComplete, Progress onProgress = {});
+
+    /**
+     * Future form of submit(): the future resolves to the Result or
+     * rethrows the job's error. Wait on it from outside the pool.
+     */
+    std::future<Result> submit(Job job);
+
+    /**
+     * Synchronous form of submit(): blocks the calling thread (not a
+     * pool thread) until the job completes. @throws the job's error.
+     */
+    Result run(const Job &job, Progress onProgress = {});
 
     /** Convenience: run a circuit without building a Job by hand. */
     Result run(const Circuit &circuit, std::size_t shots,
@@ -235,119 +292,35 @@ class ExecutionEngine
                std::uint64_t seed = 7,
                const NoiseModel *noise = nullptr);
 
-    /**
-     * Dispatch @p job's shards to the pool immediately and return a
-     * future that merges them on get(). The merge runs on whichever
-     * thread calls get(), so waiting never deadlocks the pool.
-     */
-    std::future<Result> submit(Job job);
-
-    /**
-     * Completion callback of submitAsync: the merged Result, or — if
-     * any shard threw — a default Result plus the first shard's
-     * exception.
-     */
-    using Completion = std::function<void(Result, std::exception_ptr)>;
-
-    /**
-     * Dispatch @p job's shards and deliver the merged Result through
-     * @p onComplete instead of a future. The last shard to finish
-     * merges (in shard order, so counts are bit-identical to run())
-     * and invokes the callback *on a pool thread*: callbacks must not
-     * block on pool work they themselves wait for, but may submit new
-     * jobs. Errors during dispatch (unknown backend, rejected
-     * circuit) still throw synchronously. Callbacks should not throw;
-     * an exception escaping one is logged as a warning and dropped
-     * (there is no future to carry it).
-     */
-    void submitAsync(Job job, Completion onComplete);
-
-    /**
-     * Streaming callback of the adaptive entry points: the merged
-     * partial Result after each wave plus the stopping evaluation.
-     * Invoked on a pool thread, strictly between waves (never
-     * concurrently with shard execution of the same job), so the
-     * partial may be read without locking but must not be retained
-     * past the callback's return — the next wave mutates it.
-     */
-    using Progress =
-        std::function<void(const Result &, const StoppingStatus &)>;
-
-    /**
-     * Adaptive wave-based execution with early stopping. The job's
-     * shot budget (stopping.maxShots, defaulting to job.shots) is
-     * laid out as the usual deterministic shard plan, and the shards
-     * execute in waves of ~stopping.waveShots shots. After each wave
-     * the merged-so-far Result is evaluated against the stopping
-     * rule; @p onProgress (optional) streams the partial result, and
-     * the run ends early once the watched statistic's Wilson 95%
-     * half-width reaches the target (past any minShots floor).
-     *
-     * Determinism: waves partition the budget's shard plan by shard
-     * index, and waves merge in shard order, so a run that executes
-     * the whole budget is bit-identical to run() with the same total
-     * at ANY thread/wave/shard setting. An early-stopped run equals
-     * run() of the shots actually taken whenever those form the same
-     * shard decomposition — guaranteed when the budget is a multiple
-     * of shardShots and within maxShards (uniform shard plan).
-     *
-     * The final Result carries shotsRequested() = budget and
-     * stoppedEarly() when it converged with budget to spare.
-     */
-    Result runAdaptive(const Job &job, Progress onProgress = nullptr);
-
-    /**
-     * Asynchronous form of runAdaptive: shards of the current wave go
-     * to the pool; the last shard of each wave merges (in shard
-     * order), evaluates the rule, invokes @p onProgress on its pool
-     * thread, and either launches the next wave or delivers the final
-     * Result through @p onComplete (also on a pool thread). Both
-     * callbacks follow submitAsync's rules: they must not block on
-     * pool work they wait for themselves, and should not throw.
-     */
-    void submitAdaptive(Job job, Progress onProgress,
-                        Completion onComplete);
-
-    /**
-     * Assertion-flow entry point: execute an instrumented circuit and
-     * decode the assertion report from the merged result.
-     *
-     * @param result_out Optional sink for the merged raw Result.
-     */
-    AssertionReport runInstrumented(const InstrumentedCircuit &inst,
-                                    std::size_t shots,
-                                    const std::string &backend = "auto",
-                                    std::uint64_t seed = 7,
-                                    const NoiseModel *noise = nullptr,
-                                    Result *result_out = nullptr);
-
   private:
-    std::vector<std::future<Result>>
-    dispatch(const Job &job, const BackendPtr &backend,
-             const std::shared_ptr<std::atomic<std::size_t>> &retries);
+    /** One job's wave state (defined in the .cc). */
+    struct JobRun;
 
     /** Reject invalid jobs and resolve intra-shot lane budget. */
     std::size_t checkAndLaneCount(const Job &job,
                                   const BackendPtr &backend,
                                   std::size_t shard_count) const;
 
+    /** Queue the next wave's shards of @p run on the pool. */
+    void launchWave(const std::shared_ptr<JobRun> &run);
+
     /**
-     * The per-shard execution closure shared by all submit paths:
-     * cancellation poll (skip_on_cancel = fixed-budget paths only;
-     * adaptive wave shards always run so waves complete atomically),
-     * fault injection at @p shard_index, and the transient-failure
-     * retry loop (attempts re-counted into @p retries when non-null).
+     * Execute shard @p index of @p run: fault injection and the
+     * transient-failure retry loop inside the engine's kernel scopes.
      */
-    std::function<Result()>
-    shardRunner(const Job &job, const BackendPtr &backend,
-                const Shard &shard, std::size_t lanes,
-                std::size_t shard_index, bool skip_on_cancel,
-                std::shared_ptr<std::atomic<std::size_t>> retries);
+    Result runShard(JobRun &run, std::size_t index);
+
+    /** Wave epilogue, run by the wave's last-finishing shard. */
+    void finishWave(const std::shared_ptr<JobRun> &run);
 
     EngineOptions options_;
     BackendRegistry *registry_;
     ThreadPool pool_;
 };
+
+/** A Completion that settles @p promise with the Result or error. */
+ExecutionEngine::Completion
+settlePromise(std::shared_ptr<std::promise<Result>> promise);
 
 } // namespace runtime
 } // namespace qra

@@ -212,129 +212,31 @@ JobQueue::makeJob(const JobSpec &spec, PrepInfo *info)
     return job;
 }
 
-namespace {
-
-/** Specs with lifecycle state only the wave engine maintains
-    (checkpoint sink, resume source) force the adaptive path. */
-bool
-needsAdaptive(const JobSpec &spec)
+JobQueue::~JobQueue()
 {
-    return spec.stopping.enabled() || spec.checkpoint != nullptr ||
-           spec.resumeFrom != nullptr;
-}
-
-} // namespace
-
-JobQueue::Completion
-JobQueue::stamped(Completion on_complete, PrepInfo info)
-{
-    const auto submitted = obs::Tracer::Clock::now();
-    return [callback = std::move(on_complete), info,
-            submitted](Result result, std::exception_ptr error) {
-        if (!error) {
-            ExecStats stats = result.execStats();
-            stats.prepareCacheHit = info.cacheHit;
-            stats.prepareSeconds = info.seconds;
-            result.setExecStats(stats);
-        }
-        if (obs::metricsEnabled()) {
-            const auto now = obs::Tracer::Clock::now();
-            obs::observe(
-                queueMetrics().submitToCompleteNs,
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::nanoseconds>(now - submitted)
-                        .count()));
-        }
-        callback(std::move(result), error);
-    };
+    // Completions touch the queue (finish_one) after delivering their
+    // Result, so a caller may see its future resolve while the queue
+    // is still in use: wait for every submission to let go.
+    waitIdle();
 }
 
 std::future<Result>
 JobQueue::submit(const JobSpec &spec)
 {
-    PrepInfo info;
-    Job job = makeJob(spec, &info);
-    const auto submitted = obs::Tracer::Clock::now();
-    std::future<Result> inner;
-    if (!needsAdaptive(spec)) {
-        inner = engine_.submit(std::move(job));
-    } else {
-        // Adaptive path: waves need a completion hook, so back the
-        // future with a promise instead of the deferred-merge future.
-        auto promise = std::make_shared<std::promise<Result>>();
-        inner = promise->get_future();
-        engine_.submitAdaptive(
-            std::move(job), nullptr,
-            [promise](Result result, std::exception_ptr error) {
-                if (error)
-                    promise->set_exception(error);
-                else
-                    promise->set_value(std::move(result));
-            });
-    }
-    // Deferred stamp wrapper: runs on the consumer's get(), where the
-    // merged Result exists; the latency histogram therefore measures
-    // submit-to-consumption for the future API.
-    return std::async(
-        std::launch::deferred,
-        [future = std::move(inner), info, submitted]() mutable {
-            Result result = future.get();
-            ExecStats stats = result.execStats();
-            stats.prepareCacheHit = info.cacheHit;
-            stats.prepareSeconds = info.seconds;
-            result.setExecStats(stats);
-            if (obs::metricsEnabled()) {
-                const auto now = obs::Tracer::Clock::now();
-                obs::observe(
-                    queueMetrics().submitToCompleteNs,
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(now - submitted)
-                            .count()));
-            }
-            return result;
-        });
+    auto promise = std::make_shared<std::promise<Result>>();
+    std::future<Result> future = promise->get_future();
+    submit(spec, settlePromise(std::move(promise)));
+    return future;
 }
 
 void
-JobQueue::submit(const JobSpec &spec, Completion on_complete)
+JobQueue::submit(const JobSpec &spec, Completion on_complete,
+                 Progress on_progress)
 {
     if (!on_complete)
         throw ValueError("submit requires a completion callback");
-    // Fixed-budget specs keep the one-block submitAsync path; an
-    // enabled stopping rule (or checkpoint/resume state) routes
-    // through the wave engine.
-    if (needsAdaptive(spec)) {
-        submit(spec, nullptr, std::move(on_complete));
-        return;
-    }
     PrepInfo info;
     Job job = makeJob(spec, &info);
-    submitTracked(std::move(job), nullptr,
-                  stamped(std::move(on_complete), info),
-                  /*adaptive=*/false);
-}
-
-void
-JobQueue::submit(const JobSpec &spec, Progress on_progress,
-                 Completion on_complete)
-{
-    if (!on_complete)
-        throw ValueError("submit requires a completion callback");
-    // Always the wave path: progress streams once per wave even for
-    // fixed-budget specs (disabled rule = every wave runs).
-    PrepInfo info;
-    Job job = makeJob(spec, &info);
-    submitTracked(std::move(job), std::move(on_progress),
-                  stamped(std::move(on_complete), info),
-                  /*adaptive=*/true);
-}
-
-void
-JobQueue::submitTracked(Job job, Progress on_progress,
-                        Completion on_complete, bool adaptive)
-{
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++outstanding_;
@@ -348,9 +250,26 @@ JobQueue::submitTracked(Job job, Progress on_progress,
         --outstanding_;
         idle_.notify_all();
     };
-    Completion tracked = [callback = std::move(on_complete),
-                          finish_one](Result result,
-                                      std::exception_ptr error) {
+    // The delivered Result carries the preparation bookkeeping in its
+    // ExecStats, and the submit-to-complete latency lands in the
+    // queue's histogram.
+    const auto submitted = obs::Tracer::Clock::now();
+    Completion tracked = [callback = std::move(on_complete), info,
+                          submitted, finish_one](
+                             Result result, std::exception_ptr error) {
+        if (!error) {
+            ExecStats stats = result.execStats();
+            stats.prepareCacheHit = info.cacheHit;
+            stats.prepareSeconds = info.seconds;
+            result.setExecStats(stats);
+        }
+        if (obs::metricsEnabled())
+            obs::observe(queueMetrics().submitToCompleteNs,
+                         static_cast<std::uint64_t>(
+                             std::chrono::duration_cast<
+                                 std::chrono::nanoseconds>(
+                                 obs::Tracer::Clock::now() - submitted)
+                                 .count()));
         try {
             callback(std::move(result), error);
         } catch (...) {
@@ -360,12 +279,8 @@ JobQueue::submitTracked(Job job, Progress on_progress,
         finish_one();
     };
     try {
-        if (adaptive)
-            engine_.submitAdaptive(std::move(job),
-                                   std::move(on_progress),
-                                   std::move(tracked));
-        else
-            engine_.submitAsync(std::move(job), std::move(tracked));
+        engine_.submit(std::move(job), std::move(tracked),
+                       std::move(on_progress));
     } catch (...) {
         // Synchronous dispatch failure: the callback will never run.
         finish_one();

@@ -2,8 +2,8 @@
  * @file
  * JobQueue: the batch front-end of the runtime.
  *
- * Submit many (circuit, shots, backend, noise) jobs, get a future (or
- * a completion callback) per job; shards of all in-flight jobs
+ * Submit many (circuit, shots, backend, noise) jobs, get a completion
+ * callback (or a future) per job; shards of all in-flight jobs
  * interleave on the engine's thread pool. Preparation — assertion
  * injection and device transpilation — runs through the declarative
  * compile::preparePipeline and is memoised in a cache keyed by
@@ -93,7 +93,7 @@ struct JobSpec
 
     /**
      * Early-stopping policy. When its convergence target is set,
-     * submissions of this spec execute in shot waves and stop as
+     * submissions of this spec stop launching shot waves as
      * soon as the watched statistic's Wilson 95% half-width reaches
      * the target — the delivered Result then carries stoppedEarly()
      * and shotsRequested(). Assertion statistics (AnyError,
@@ -117,10 +117,9 @@ struct JobSpec
     RetryPolicy retry;
     /** Fault-injection plan; null = the process-wide QRA_FAULTS one. */
     std::shared_ptr<const FaultPlan> faults;
-    /** Checkpoint sink; setting it routes the spec through the wave
-        engine even when the stopping rule is disabled. */
+    /** Checkpoint sink (any job, fixed budget or adaptive). */
     std::shared_ptr<JobCheckpoint> checkpoint;
-    /** Resume source (also routes through the wave engine). */
+    /** Resume source: continue from a prior run's checkpoint. */
     std::shared_ptr<const JobCheckpoint> resumeFrom;
 };
 
@@ -138,16 +137,12 @@ class JobQueue
     /** @param engine Not owned; must outlive the queue. */
     explicit JobQueue(ExecutionEngine &engine);
 
-    /**
-     * Prepare @p spec (inject assertions, transpile), reusing the
-     * cache when an identical circuit was prepared before, and hand
-     * the resulting job to the engine. The future resolves to the
-     * merged Result when every shard has run. Specs whose stopping
-     * rule is enabled execute adaptively (in waves, stopping early
-     * on convergence); the future then resolves to the partial-but-
-     * converged Result.
-     */
-    std::future<Result> submit(const JobSpec &spec);
+    /** Waits for every outstanding submission (see waitIdle()). */
+    ~JobQueue();
+
+    /** Completions hold the queue's address. */
+    JobQueue(const JobQueue &) = delete;
+    JobQueue &operator=(const JobQueue &) = delete;
 
     /** See ExecutionEngine::Completion. */
     using Completion = ExecutionEngine::Completion;
@@ -156,28 +151,24 @@ class JobQueue
     using Progress = ExecutionEngine::Progress;
 
     /**
-     * Future-free submission: prepare @p spec, hand it to the engine,
-     * and deliver the merged Result through @p onComplete on a pool
-     * thread when the last shard finishes — no thread ever parks in a
-     * join, so a caller can stream thousands of jobs and consume
-     * results as they land. The callback must not block on pool work
-     * it waits for itself; submitting follow-up jobs is fine. The
-     * queue must outlive all outstanding callbacks (use waitIdle()).
+     * Prepare @p spec (inject assertions, transpile), reusing the
+     * cache when an identical circuit was prepared before, and hand
+     * the resulting job to ExecutionEngine::submit: the Result (with
+     * the preparation bookkeeping in its ExecStats) arrives through
+     * @p onComplete on a pool thread, and @p onProgress (optional)
+     * streams the merged partial after every wave. No thread parks
+     * in a join, so a caller can stream thousands of jobs and
+     * consume results as they land. The callbacks must not block on
+     * pool work they wait for themselves; submitting follow-up jobs
+     * is fine. Preparation and dispatch errors throw synchronously.
      */
-    void submit(const JobSpec &spec, Completion onComplete);
+    void submit(const JobSpec &spec, Completion onComplete,
+                Progress onProgress = {});
 
-    /**
-     * Streaming submission: like submit(spec, onComplete) but the
-     * job always executes in waves (adaptive path) and @p onProgress
-     * receives the merged partial Result plus the stopping evaluation
-     * after every wave, on a pool thread. Useful both for live
-     * dashboards over fixed-budget jobs (rule disabled: every wave
-     * runs) and for confidence-driven early stopping (rule enabled).
-     */
-    void submit(const JobSpec &spec, Progress onProgress,
-                Completion onComplete);
+    /** Future form of submit(spec, onComplete). */
+    std::future<Result> submit(const JobSpec &spec);
 
-    /** Block until every callback submission has completed. */
+    /** Block until every submission has completed. */
     void waitIdle();
 
     /** Submit every spec, then wait for all results, in order. */
@@ -282,21 +273,6 @@ class JobQueue
     /** Prepare @p spec and assemble the engine Job (incl. stopping). */
     Job makeJob(const JobSpec &spec, PrepInfo *info = nullptr);
 
-    /**
-     * Wrap @p onComplete so the delivered Result carries the
-     * preparation bookkeeping in its ExecStats and the submit-to-
-     * complete latency lands in the queue's histogram.
-     */
-    Completion stamped(Completion onComplete, PrepInfo info);
-
-    /**
-     * Dispatch @p job with outstanding-callback tracking; @p adaptive
-     * selects the wave engine (forced for streaming submissions even
-     * when the rule is disabled).
-     */
-    void submitTracked(Job job, Progress onProgress,
-                       Completion onComplete, bool adaptive);
-
     ExecutionEngine &engine_;
     mutable std::mutex mutex_;
     std::unordered_map<std::uint64_t, std::shared_ptr<const Prepared>>
@@ -313,7 +289,7 @@ class JobQueue
     /** Prepare builds started (the fault injector's attempt index). */
     std::atomic<std::size_t> prepareAttempts_{0};
 
-    /** Callback submissions in flight (waitIdle watches this). */
+    /** Submissions in flight (waitIdle watches this). */
     std::size_t outstanding_ = 0;
     std::condition_variable idle_;
 };

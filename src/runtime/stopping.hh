@@ -81,7 +81,7 @@ struct StoppingRule
     bool enabled() const { return targetHalfWidth > 0.0; }
 };
 
-/** Progress of an adaptive run, delivered after every wave. */
+/** Progress of a run, delivered after every wave. */
 struct StoppingStatus
 {
     /** Waves completed so far (1 after the first wave). */
@@ -106,8 +106,8 @@ struct StoppingStatus
         cancelled). */
     bool finished = false;
 
-    /** The job's CancelToken fired (or its deadline passed) at this
-        wave boundary; shotsDone holds the shots actually merged. */
+    /** Cancellation cut the run short at this wave (see
+        Job::cancel); shotsDone holds the shots actually merged. */
     bool cancelled = false;
 
     /** Converged with budget to spare. */

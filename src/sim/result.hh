@@ -26,7 +26,7 @@ struct ExecStats
 {
     /** Shards executed and merged into this result. */
     std::size_t shards = 0;
-    /** Adaptive waves executed (0 = single-block run). */
+    /** Waves executed (a fixed budget runs as one wave). */
     std::size_t waves = 0;
     /** True when the JobQueue's prepare cache supplied the circuit. */
     bool prepareCacheHit = false;
@@ -131,10 +131,10 @@ class Result
     }
 
     /**
-     * True when the job was cancelled (CancelToken or deadline)
-     * before its budget completed. The counts are the merge of
-     * exactly the shards that finished — bit-identical to those
-     * shards of an uncancelled run — and shots() < shotsRequested().
+     * True when cancellation (CancelToken or deadline) cut the job
+     * short of its budget. The counts are the longest completed
+     * prefix of the shard plan — bit-identical to those shards of an
+     * uncancelled run — and shots() < shotsRequested().
      */
     bool cancelled() const { return cancelled_; }
 

@@ -89,6 +89,41 @@ TEST(SuperpositionAssertionTest, MinusVariantAcceptsMinus)
     EXPECT_DOUBLE_EQ(errorRate(inst2, r2), 1.0);
 }
 
+TEST(SuperpositionAssertionTest, MinusVariantRestoresMinusOnPass)
+{
+    // A passing |-> check leaves the target in |->, not |+>: the
+    // state after the check is |->(x)|0>_anc, and H then measure
+    // reads 1 on every shot.
+    Circuit payload(1, 1);
+    payload.x(0).h(0); // |->
+    const InstrumentedCircuit inst = withCheck(
+        payload,
+        std::make_shared<SuperpositionAssertion>(Target::Minus), 0);
+    ASSERT_EQ(inst.circuit().numQubits(), 2u);
+
+    StatevectorSimulator sim(12);
+    const StateVector after =
+        sim.evolveWithMeasurements(inst.circuit());
+    const double r = 1.0 / std::sqrt(2.0);
+    test::expectAmplitudesNear(after.amplitudes(),
+                               {Complex(r, 0.0), Complex(-r, 0.0),
+                                Complex(0.0, 0.0), Complex(0.0, 0.0)},
+                               1e-12);
+
+    Circuit then_h = payload;
+    then_h.h(0).measure(0, 0);
+    AssertionSpec spec;
+    spec.assertion =
+        std::make_shared<SuperpositionAssertion>(Target::Minus);
+    spec.targets = {0};
+    spec.insertAt = payload.size();
+    const InstrumentedCircuit checked = instrument(then_h, {spec});
+    const Result shots = sim.run(checked.circuit(), 2000);
+    EXPECT_DOUBLE_EQ(errorRate(checked, shots), 0.0);
+    for (const auto &[reg, n] : shots.rawCounts())
+        EXPECT_EQ(checked.payloadBits(reg), 1u) << n << " shots";
+}
+
 TEST(SuperpositionAssertionTest, ClassicalInputErrorsHalfTheTime)
 {
     // Paper Sec. 3.3: classical |0> or |1> input gives a 50% error

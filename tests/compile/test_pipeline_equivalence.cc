@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "assertions/entanglement_assertion.hh"
+#include "assertions/report.hh"
 #include "assertions/superposition_assertion.hh"
 #include "compile/passes.hh"
 #include "compile/pipelines.hh"

@@ -1,12 +1,13 @@
 /**
  * @file
  * Cancellation and deadlines: CancelToken semantics, shard-granular
- * skipping on the fixed-budget paths, wave-boundary stopping on the
- * adaptive path, and the partial-result contract (merged counts
- * bit-identical to the shards that completed).
+ * skipping (a shard dequeued after cancel() runs nothing), and the
+ * partial-result contract (the longest completed prefix of the shard
+ * plan, bit-identical to run() of those shards' shots).
  */
 
 #include <chrono>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -92,32 +93,42 @@ TEST(Cancellation, PreCancelledFixedJobRunsNothing)
 
 TEST(Cancellation, DeadlinePartialIsBitIdenticalPrefix)
 {
-    // Shard 0 stalls past the deadline; with one worker the remaining
-    // shards dequeue after expiry and skip, so the merge is exactly
-    // shard 0 — which (shard plans being deterministic) equals a
-    // 256-shot run outright.
-    ExecutionEngine engine(eightShardOptions(1));
-    Job job(bellCircuit(), 2048);
-    job.deadlineMs = 5.0;
-    FaultPlan plan = FaultPlan::parse("shard:0:stall,stall-ms:100");
-    job.faults = std::make_shared<const FaultPlan>(plan);
+    // The first `threads` shards stall past the deadline, one per
+    // worker; the remaining shards dequeue after expiry and skip, so
+    // the merge is exactly the stalled shards — which (shard plans
+    // being deterministic) equals a run of their shots outright, the
+    // prefix the result reports in execStats().shards.
+    for (const std::size_t threads : {1u, 4u}) {
+        ExecutionEngine engine(eightShardOptions(threads));
+        Job job(bellCircuit(), 2048);
+        job.deadlineMs = 5.0;
+        std::string stalls;
+        for (std::size_t i = 0; i < threads; ++i)
+            stalls += "shard:" + std::to_string(i) + ":stall,";
+        FaultPlan plan = FaultPlan::parse(stalls + "stall-ms:100");
+        job.faults = std::make_shared<const FaultPlan>(plan);
 
-    const Result partial = engine.run(job);
-    EXPECT_TRUE(partial.cancelled());
-    EXPECT_EQ(partial.cancelReason(), "deadline");
-    EXPECT_EQ(partial.shots(), 256u);
-    EXPECT_EQ(partial.shotsRequested(), 2048u);
+        const Result partial = engine.run(job);
+        EXPECT_TRUE(partial.cancelled());
+        EXPECT_EQ(partial.cancelReason(), "deadline");
+        EXPECT_EQ(partial.shots(), 256u * threads);
+        EXPECT_EQ(partial.shotsRequested(), 2048u);
+        EXPECT_EQ(partial.execStats().shards, threads);
 
-    ExecutionEngine reference(eightShardOptions(1));
-    const Result prefix = reference.run(Job(bellCircuit(), 256));
-    EXPECT_EQ(partial.rawCounts(), prefix.rawCounts());
+        ExecutionEngine reference(eightShardOptions(1));
+        const Result prefix = reference.run(
+            Job(bellCircuit(), 256 * partial.execStats().shards));
+        EXPECT_EQ(partial.rawCounts(), prefix.rawCounts());
+    }
 }
 
 TEST(Cancellation, AdaptiveStopsAtWaveBoundary)
 {
-    // Cancelling inside the wave-1 progress callback lets the already
-    // launched wave 2 finish (waves never tear), then stops: exactly
-    // two waves of shots, bit-identical to a 512-shot run.
+    // Cancelling inside the wave-1 progress callback stops the run at
+    // that boundary: wave 2 launches, but its shard dequeues after
+    // cancel() and runs nothing, so progress reports a second,
+    // cancelled wave and exactly wave 1's shots remain — bit-identical
+    // to a 256-shot run.
     for (const std::size_t threads : {1u, 4u}) {
         ExecutionEngine engine(eightShardOptions(threads));
         Job job(bellCircuit(), 2048);
@@ -127,7 +138,7 @@ TEST(Cancellation, AdaptiveStopsAtWaveBoundary)
 
         std::size_t waves_seen = 0;
         bool saw_cancelled_status = false;
-        const Result partial = engine.runAdaptive(
+        const Result partial = engine.run(
             job, [&](const Result &, const StoppingStatus &status) {
                 ++waves_seen;
                 if (status.wave == 1)
@@ -139,29 +150,30 @@ TEST(Cancellation, AdaptiveStopsAtWaveBoundary)
         EXPECT_EQ(partial.cancelReason(), "user");
         EXPECT_TRUE(saw_cancelled_status);
         EXPECT_EQ(waves_seen, 2u);
-        EXPECT_EQ(partial.shots(), 512u);
+        EXPECT_EQ(partial.shots(), 256u);
         EXPECT_FALSE(partial.stoppedEarly());
         EXPECT_EQ(partial.shotsRequested(), 2048u);
 
         ExecutionEngine reference(eightShardOptions(1));
-        const Result prefix = reference.run(Job(bellCircuit(), 512));
+        const Result prefix = reference.run(Job(bellCircuit(), 256));
         EXPECT_EQ(partial.rawCounts(), prefix.rawCounts());
 
-        // The checkpoint cursor sits at the wave boundary with the
-        // raw (unstamped) merge of the completed shards.
+        // The checkpoint cursor sits at the first shard that did not
+        // run, with the raw (unstamped) merge of the completed shards.
         const JobCheckpoint &ck = *job.checkpoint;
         EXPECT_TRUE(ck.valid());
-        EXPECT_EQ(ck.nextShard, 2u);
+        EXPECT_EQ(ck.nextShard, 1u);
         EXPECT_EQ(ck.planShards, 8u);
-        EXPECT_EQ(ck.merged.shots(), 512u);
+        EXPECT_EQ(ck.merged.shots(), 256u);
         EXPECT_FALSE(ck.merged.cancelled());
     }
 }
 
 TEST(Cancellation, AdaptiveDeadlineReportsReason)
 {
-    // Every wave stalls 20ms against a 5ms deadline: wave 1 merges in
-    // full, then the boundary poll latches the deadline.
+    // Every wave stalls 20ms against a 5ms deadline: wave 1's shard
+    // started before expiry and merges in full, then the boundary
+    // poll latches the deadline.
     ExecutionEngine engine(eightShardOptions(1));
     Job job(bellCircuit(), 2048);
     job.stopping.waveShots = 256;
@@ -170,7 +182,7 @@ TEST(Cancellation, AdaptiveDeadlineReportsReason)
         FaultPlan::parse("shard:0:stall,shard:1:stall,stall-ms:20");
     job.faults = std::make_shared<const FaultPlan>(plan);
 
-    const Result partial = engine.runAdaptive(job);
+    const Result partial = engine.run(job);
     EXPECT_TRUE(partial.cancelled());
     EXPECT_EQ(partial.cancelReason(), "deadline");
     EXPECT_EQ(partial.shots(), 256u);

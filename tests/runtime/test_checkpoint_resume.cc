@@ -1,11 +1,13 @@
 /**
  * @file
- * Checkpoint/resume: a cancelled (or failed) adaptive job resumed
- * from its JobCheckpoint replays exactly the shards an uninterrupted
- * run would have executed — bit-identical counts, never more total
- * shots — across thread counts and wave sizes. Plus the validation
- * that refuses checkpoints from a different job.
+ * Checkpoint/resume: a cancelled (or failed) job — waved or fixed
+ * budget — resumed from its JobCheckpoint replays exactly the shards
+ * an uninterrupted run would have executed — bit-identical counts,
+ * never more total shots — across thread counts and wave sizes. Plus
+ * the validation that refuses checkpoints from a different job.
  */
+
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -36,24 +38,22 @@ eightShardOptions(std::size_t threads)
     return options;
 }
 
-/** Run adaptively, cancelling via the wave-1 progress callback, and
-    return the written checkpoint. Cancellation is polled at wave
-    boundaries and wave 2 is already in flight when the wave-1
-    callback runs, so exactly two waves' worth of shots complete. */
+/** Run in waves, cancelling via the wave-1 progress callback, and
+    return the written checkpoint. Wave 2's shards dequeue after
+    cancel() and run nothing, so exactly wave 1's shots complete. */
 std::shared_ptr<JobCheckpoint>
 cancelAtFirstWave(ExecutionEngine &engine, Job job)
 {
     job.checkpoint = std::make_shared<JobCheckpoint>();
     const CancelToken token = job.cancel;
-    const Result partial = engine.runAdaptive(
+    const Result partial = engine.run(
         job, [&](const Result &, const StoppingStatus &status) {
             if (status.wave == 1)
                 token.cancel();
         });
     EXPECT_TRUE(partial.cancelled());
     EXPECT_EQ(partial.shots(),
-              std::min<std::size_t>(2 * job.stopping.waveShots,
-                                    job.shots));
+              std::min<std::size_t>(job.stopping.waveShots, job.shots));
     return job.checkpoint;
 }
 
@@ -61,8 +61,8 @@ cancelAtFirstWave(ExecutionEngine &engine, Job job)
 
 TEST(CheckpointResume, CancelledThenResumedEqualsUninterrupted)
 {
-    // The satellite contract: cancel at a wave boundary, resume from
-    // the checkpoint, and the final counts are bit-identical to an
+    // The contract: cancel at a wave boundary, resume from the
+    // checkpoint, and the final counts are bit-identical to an
     // uninterrupted run of the full budget — at 1 and 4 threads,
     // across wave sizes.
     for (const std::size_t threads : {1u, 4u}) {
@@ -76,17 +76,16 @@ TEST(CheckpointResume, CancelledThenResumedEqualsUninterrupted)
             const std::shared_ptr<JobCheckpoint> ck =
                 cancelAtFirstWave(engine, job);
             ASSERT_TRUE(ck->valid());
-            // Two 1024-shot waves already cover the 2048 budget, so
-            // that checkpoint is exhausted; the smaller waves leave a
-            // genuine remainder to resume.
-            EXPECT_EQ(ck->exhausted(), 2 * wave_shots >= 2048u);
+            // One wave never covers the 2048 budget, so every
+            // checkpoint leaves a genuine remainder to resume.
+            EXPECT_FALSE(ck->exhausted());
             EXPECT_NE(ck->str().find("checkpoint("),
                       std::string::npos);
 
             Job resume(bellCircuit(), 2048);
             resume.stopping.waveShots = wave_shots;
             resume.resumeFrom = ck;
-            const Result resumed = engine.runAdaptive(resume);
+            const Result resumed = engine.run(resume);
 
             EXPECT_EQ(resumed.rawCounts(),
                       uninterrupted.rawCounts());
@@ -95,6 +94,44 @@ TEST(CheckpointResume, CancelledThenResumedEqualsUninterrupted)
             EXPECT_EQ(resumed.execStats().resumedShots,
                       ck->merged.shots());
         }
+    }
+}
+
+TEST(CheckpointResume, FixedBudgetJobCancelledThenResumed)
+{
+    // A fixed budget (no stopping rule, one wave) takes a checkpoint
+    // too: the deadline cuts the wave at the first skipped shard, the
+    // cursor lands there, and the resume is bit-identical to the
+    // uninterrupted run.
+    for (const std::size_t threads : {1u, 4u}) {
+        ExecutionEngine engine(eightShardOptions(threads));
+        const Result uninterrupted =
+            engine.run(Job(bellCircuit(), 2048));
+
+        Job job(bellCircuit(), 2048);
+        job.checkpoint = std::make_shared<JobCheckpoint>();
+        job.deadlineMs = 5.0;
+        std::string stalls;
+        for (std::size_t i = 0; i < threads; ++i)
+            stalls += "shard:" + std::to_string(i) + ":stall,";
+        job.faults = std::make_shared<const FaultPlan>(
+            FaultPlan::parse(stalls + "stall-ms:50"));
+        const Result partial = engine.run(job);
+        EXPECT_TRUE(partial.cancelled());
+        EXPECT_LT(partial.shots(), 2048u);
+
+        const JobCheckpoint &ck = *job.checkpoint;
+        ASSERT_TRUE(ck.valid());
+        EXPECT_EQ(ck.nextShard, partial.execStats().shards);
+        EXPECT_EQ(ck.merged.rawCounts(), partial.rawCounts());
+
+        Job resume(bellCircuit(), 2048);
+        resume.resumeFrom = job.checkpoint;
+        const Result resumed = engine.run(resume);
+        EXPECT_EQ(resumed.rawCounts(), uninterrupted.rawCounts());
+        EXPECT_EQ(resumed.shots(), 2048u);
+        EXPECT_FALSE(resumed.cancelled());
+        EXPECT_EQ(resumed.execStats().resumedShots, ck.merged.shots());
     }
 }
 
@@ -122,19 +159,19 @@ TEST(CheckpointResume, TighterTargetUsesNoMoreShotsThanDirect)
     options.maxShards = 64;
     ExecutionEngine engine(options);
 
-    const Result direct = engine.runAdaptive(make_job(0.04));
+    const Result direct = engine.run(make_job(0.04));
     EXPECT_TRUE(direct.stoppedEarly());
 
     Job loose = make_job(0.08);
     loose.checkpoint = std::make_shared<JobCheckpoint>();
-    const Result first = engine.runAdaptive(loose);
+    const Result first = engine.run(loose);
     EXPECT_TRUE(first.stoppedEarly());
     ASSERT_TRUE(loose.checkpoint->valid());
     EXPECT_LT(loose.checkpoint->merged.shots(), direct.shots());
 
     Job tight = make_job(0.04);
     tight.resumeFrom = loose.checkpoint;
-    const Result resumed = engine.runAdaptive(tight);
+    const Result resumed = engine.run(tight);
 
     // Same wave boundaries → the tight target trips at the same
     // cumulative shot count, and the merged counts match exactly.
@@ -157,7 +194,7 @@ TEST(CheckpointResume, WaveFailureRewindsCursor)
     job.checkpoint = std::make_shared<JobCheckpoint>();
     job.faults = std::make_shared<const FaultPlan>(
         FaultPlan::parse("wave:1:throw"));
-    EXPECT_THROW(engine.runAdaptive(job), TransientSimulationError);
+    EXPECT_THROW(engine.run(job), TransientSimulationError);
 
     const JobCheckpoint &ck = *job.checkpoint;
     ASSERT_TRUE(ck.valid());
@@ -168,7 +205,7 @@ TEST(CheckpointResume, WaveFailureRewindsCursor)
     Job resume(bellCircuit(), 2048);
     resume.stopping.waveShots = 512;
     resume.resumeFrom = job.checkpoint;
-    const Result resumed = engine.runAdaptive(resume);
+    const Result resumed = engine.run(resume);
     EXPECT_EQ(resumed.rawCounts(), uninterrupted.rawCounts());
     EXPECT_EQ(resumed.shots(), 2048u);
 }
@@ -178,13 +215,13 @@ TEST(CheckpointResume, ExhaustedCheckpointJustRedelivers)
     ExecutionEngine engine(eightShardOptions(1));
     Job job(bellCircuit(), 2048);
     job.checkpoint = std::make_shared<JobCheckpoint>();
-    const Result full = engine.runAdaptive(job);
+    const Result full = engine.run(job);
     ASSERT_TRUE(job.checkpoint->valid());
     EXPECT_TRUE(job.checkpoint->exhausted());
 
     Job resume(bellCircuit(), 2048);
     resume.resumeFrom = job.checkpoint;
-    const Result redelivered = engine.runAdaptive(resume);
+    const Result redelivered = engine.run(resume);
     EXPECT_EQ(redelivered.rawCounts(), full.rawCounts());
     EXPECT_EQ(redelivered.shots(), 2048u);
     EXPECT_EQ(redelivered.execStats().resumedShots, 2048u);
@@ -201,25 +238,25 @@ TEST(CheckpointResume, MismatchedCheckpointsAreRefused)
     // Never-written checkpoint.
     Job invalid(bellCircuit(), 2048);
     invalid.resumeFrom = std::make_shared<JobCheckpoint>();
-    EXPECT_THROW(engine.runAdaptive(invalid), ValueError);
+    EXPECT_THROW(engine.run(invalid), ValueError);
 
     // Different seed.
     Job wrong_seed(bellCircuit(), 2048);
     wrong_seed.seed = 12345;
     wrong_seed.resumeFrom = ck;
-    EXPECT_THROW(engine.runAdaptive(wrong_seed), ValueError);
+    EXPECT_THROW(engine.run(wrong_seed), ValueError);
 
     // Different budget.
     Job wrong_budget(bellCircuit(), 4096);
     wrong_budget.resumeFrom = ck;
-    EXPECT_THROW(engine.runAdaptive(wrong_budget), ValueError);
+    EXPECT_THROW(engine.run(wrong_budget), ValueError);
 
     // Different circuit.
     Circuit ghz(3, 3, "ghz");
     ghz.h(0).cx(0, 1).cx(1, 2).measureAll();
     Job wrong_circuit(ghz, 2048);
     wrong_circuit.resumeFrom = ck;
-    EXPECT_THROW(engine.runAdaptive(wrong_circuit), ValueError);
+    EXPECT_THROW(engine.run(wrong_circuit), ValueError);
 
     // Different shard decomposition (engine options).
     EngineOptions coarse;
@@ -228,14 +265,14 @@ TEST(CheckpointResume, MismatchedCheckpointsAreRefused)
     ExecutionEngine coarse_engine(coarse);
     Job wrong_plan(bellCircuit(), 2048);
     wrong_plan.resumeFrom = ck;
-    EXPECT_THROW(coarse_engine.runAdaptive(wrong_plan), ValueError);
+    EXPECT_THROW(coarse_engine.run(wrong_plan), ValueError);
 }
 
 TEST(CheckpointResume, JobQueueRoutesCheckpointSpecs)
 {
-    // JobSpec-level wiring: a checkpoint sink routes through the wave
-    // engine even without a stopping rule, and a resume spec picks up
-    // where the cancelled submission stopped.
+    // JobSpec-level wiring: the checkpoint sink and resume source
+    // reach the engine, and a resume spec picks up where the
+    // cancelled submission stopped.
     ExecutionEngine engine(eightShardOptions(1));
     JobQueue queue(engine);
 
@@ -251,13 +288,13 @@ TEST(CheckpointResume, JobQueueRoutesCheckpointSpecs)
     std::exception_ptr error;
     queue.submit(
         spec,
-        [&](const Result &, const StoppingStatus &status) {
-            if (++waves == 1)
-                token.cancel();
-        },
         [&](Result result, std::exception_ptr e) {
             partial = std::move(result);
             error = e;
+        },
+        [&](const Result &, const StoppingStatus &) {
+            if (++waves == 1)
+                token.cancel();
         });
     queue.waitIdle();
     ASSERT_FALSE(error);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "assertions/entanglement_assertion.hh"
+#include "assertions/report.hh"
 #include "common/error.hh"
 #include "library/algorithms.hh"
 #include "noise/device_model.hh"
@@ -201,7 +202,7 @@ TEST(ExecutionEngine, UnsupportedCircuitThrowsWithReason)
     EXPECT_THROW(engine.run(t_gate, 16, "nonesuch", 1), ValueError);
 }
 
-TEST(ExecutionEngine, RunInstrumentedDecodesAssertionReport)
+TEST(ExecutionEngine, RunThenAnalyzeDecodesAssertionReport)
 {
     Circuit payload(2, 2, "bell");
     payload.h(0).cx(0, 1).measureAll();
@@ -213,9 +214,8 @@ TEST(ExecutionEngine, RunInstrumentedDecodesAssertionReport)
 
     ExecutionEngine engine(EngineOptions{
         .threads = 2, .shardShots = 256, .maxShards = 16});
-    Result raw;
-    const AssertionReport report = engine.runInstrumented(
-        inst, 2048, "statevector", 11, nullptr, &raw);
+    const Result raw = engine.run(inst.circuit(), 2048, "statevector", 11);
+    const AssertionReport report = analyze(inst, raw);
     EXPECT_EQ(raw.shots(), 2048u);
     // Ideal Bell pair: the entanglement check never fires.
     EXPECT_NEAR(report.anyErrorRate, 0.0, 1e-12);

@@ -194,7 +194,7 @@ TEST(Retry, AdaptiveRecoveryMatchesToo)
     job.stopping.waveShots = 512;
     job.retry = fastRetry(3);
     job.faults = plan("shard:1:throw:2");
-    const Result recovered = engine.runAdaptive(job);
+    const Result recovered = engine.run(job);
 
     EXPECT_EQ(recovered.rawCounts(), clean.rawCounts());
     EXPECT_EQ(recovered.execStats().retries, 2u);

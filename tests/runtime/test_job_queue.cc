@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "assertions/entanglement_assertion.hh"
+#include "assertions/report.hh"
 #include "common/error.hh"
 #include "noise/device_model.hh"
 #include "runtime/job_queue.hh"
@@ -85,6 +86,19 @@ TEST(JobQueue, RepeatedSubmissionHitsPrepareCache)
     // then five hits on the transpiled circuit.
     EXPECT_EQ(queue.cacheMisses(), 1u);
     EXPECT_EQ(queue.cacheHits(), 5u);
+}
+
+TEST(JobQueue, DestroyRightAfterGetWaitsForCompletion)
+{
+    // The future resolves inside the job's completion, before the
+    // queue's own bookkeeping lets go of it; destroying the queue
+    // straight after get() must wait for that instead of racing it
+    // (the TSAN and ASan legs run this loop).
+    ExecutionEngine engine(EngineOptions{.threads = 4});
+    for (std::uint64_t seed = 0; seed < 50; ++seed) {
+        JobQueue queue(engine);
+        EXPECT_EQ(queue.submit(bellSpec(seed)).get().shots(), 512u);
+    }
 }
 
 TEST(JobQueue, DistinctCircuitsMissSeparately)
