@@ -52,7 +52,8 @@
  * Emits one JSON line per measurement for the bench trajectory, then
  * a human-readable table and a verdict: on hosts with >= 4 cores the
  * engine must deliver >= 2x shots/sec at 16 qubits on the per-shot
- * workload.
+ * workload, read as the median of 5 interleaved direct/engine trials
+ * (each trial and the IQR printed; the JSON line carries them too).
  *
  * Usage: perf_engine [SHOTS] [--json]   (default 96 per-shot shots;
  * --json emits only the JSON lines)
@@ -64,6 +65,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "bench_util.hh"
 #include "qra.hh"
@@ -116,6 +118,27 @@ trajectoryWorkload(std::size_t num_qubits, std::size_t num_gates,
 }
 
 using bench::secondsSince;
+
+struct Quartiles
+{
+    double q1;
+    double median;
+    double q3;
+};
+
+/** Quartiles of @p v by linear interpolation between order stats. */
+Quartiles
+quartiles(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    auto at = [&](double frac) {
+        const double pos = frac * static_cast<double>(v.size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+    };
+    return {at(0.25), at(0.5), at(0.75)};
+}
 
 /** Rows x cols grid device (undirected edges both ways). */
 CouplingMap
@@ -220,43 +243,73 @@ main(int argc, char **argv)
                                               1, threads)),
         .maxShards = threads});
 
+    // The 16-qubit point gates the verdict. One timed run of each side
+    // read 0.86x and then 4.02x on the same build of a loaded 4-vCPU
+    // host, so that point is the median of kGateTrials interleaved
+    // direct/engine pairs, each printed with the spread.
+    constexpr std::size_t kGateTrials = 5;
     double speedup_at_16 = 0.0;
     for (const std::size_t num_qubits : {4u, 8u, 12u, 16u}) {
         const Circuit circuit =
             trajectoryWorkload(num_qubits, 64, 17);
+        const std::size_t trials = num_qubits == 16 ? kGateTrials : 1;
 
-        const auto direct_start = std::chrono::steady_clock::now();
-        StatevectorSimulator direct(23);
-        const Result direct_result = direct.run(circuit, shots);
-        const double direct_seconds = secondsSince(direct_start);
+        std::vector<double> direct_rates, engine_rates, speedups;
+        for (std::size_t t = 0; t < trials; ++t) {
+            const auto direct_start = std::chrono::steady_clock::now();
+            StatevectorSimulator direct(23);
+            const Result direct_result = direct.run(circuit, shots);
+            const double direct_seconds = secondsSince(direct_start);
 
-        const auto engine_start = std::chrono::steady_clock::now();
-        const Result engine_result =
-            engine.run(circuit, shots, "statevector", 23);
-        const double engine_seconds = secondsSince(engine_start);
+            const auto engine_start = std::chrono::steady_clock::now();
+            const Result engine_result =
+                engine.run(circuit, shots, "statevector", 23);
+            const double engine_seconds = secondsSince(engine_start);
 
-        const double direct_sps =
-            static_cast<double>(direct_result.shots()) /
-            direct_seconds;
-        const double engine_sps =
-            static_cast<double>(engine_result.shots()) /
-            engine_seconds;
-        const double speedup = engine_sps / direct_sps;
+            direct_rates.push_back(
+                static_cast<double>(direct_result.shots()) /
+                direct_seconds);
+            engine_rates.push_back(
+                static_cast<double>(engine_result.shots()) /
+                engine_seconds);
+            speedups.push_back(engine_rates.back() /
+                               direct_rates.back());
+            if (trials > 1 && !json_only)
+                std::printf("    trial %zu/%zu: direct %.1f, engine "
+                            "%.1f sh/s, %.2fx\n",
+                            t + 1, trials, direct_rates.back(),
+                            engine_rates.back(), speedups.back());
+        }
+        const Quartiles spread = quartiles(speedups);
+        const double direct_sps = quartiles(direct_rates).median;
+        const double engine_sps = quartiles(engine_rates).median;
+        const double speedup = spread.median;
         if (num_qubits == 16)
             speedup_at_16 = speedup;
 
         if (!json_only)
-            std::printf("  %-8zu %14.1f %14.1f %9.2fx\n", num_qubits,
-                        direct_sps, engine_sps, speedup);
-        // Machine-readable trajectory line.
+            std::printf("  %-8zu %14.1f %14.1f %9.2fx%s\n", num_qubits,
+                        direct_sps, engine_sps, speedup,
+                        trials > 1 ? "  (median)" : "");
+        if (trials > 1 && !json_only)
+            std::printf("    speedup IQR %.2fx (q1 %.2fx, q3 %.2fx) "
+                        "over %zu trials\n",
+                        spread.q3 - spread.q1, spread.q1, spread.q3,
+                        trials);
+        // Machine-readable trajectory line (medians over the trials).
         std::printf("{\"bench\":\"perf_engine\","
                     "\"section\":\"per_shot\",\"qubits\":%zu,"
                     "\"shots\":%zu,\"threads\":%zu,"
                     "\"direct_shots_per_sec\":%.1f,"
                     "\"engine_shots_per_sec\":%.1f,"
-                    "\"speedup\":%.3f}\n",
+                    "\"speedup\":%.3f,\"trials\":%zu,"
+                    "\"iqr\":%.3f,\"trial_speedups\":[",
                     num_qubits, shots, threads, direct_sps,
-                    engine_sps, speedup);
+                    engine_sps, speedup, trials,
+                    spread.q3 - spread.q1);
+        for (std::size_t t = 0; t < trials; ++t)
+            std::printf("%s%.3f", t ? "," : "", speedups[t]);
+        std::printf("]}\n");
     }
 
     // Sampled workload: terminal measurements only, so each shard is

@@ -1,5 +1,6 @@
 #include "sim/density_matrix.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hh"
@@ -10,12 +11,91 @@
 
 namespace qra {
 
-DensityMatrix::DensityMatrix(std::size_t num_qubits)
-    : numQubits_(num_qubits),
-      rho_(std::size_t{1} << num_qubits, std::size_t{1} << num_qubits)
+namespace {
+
+/** 2^n, after checking n before anything of that size is allocated. */
+std::size_t
+checkedDim(std::size_t num_qubits)
 {
     if (num_qubits == 0 || num_qubits > 12)
         throw SimulationError("density matrix supports 1..12 qubits");
+    return std::size_t{1} << num_qubits;
+}
+
+/**
+ * v <- S v for a superoperator @p s on three or more operand bits of
+ * the 2n-qubit vector (matrix bit j = operands[j]): the arithmetic of
+ * kernels::applyGenericK over S's nonzero entries only. Noise
+ * superoperators are sparse (a depolarising two-qubit channel, alone
+ * or fused with its gate, has 28 of 256), and applyGenericK forms
+ * every product through the out-of-line Matrix accessor: ~45 us per
+ * 16x16 pass over a 5-qubit rho against a few us here.
+ */
+void
+applyWide(Complex *v, std::uint64_t size, const Matrix &s,
+          const std::vector<Qubit> &operands)
+{
+    const std::size_t k = operands.size();
+    const std::size_t block = std::size_t{1} << k;
+    std::vector<std::uint64_t> offsets(block, 0);
+    for (std::size_t local = 0; local < block; ++local)
+        for (std::size_t j = 0; j < k; ++j)
+            if ((local >> j) & 1)
+                offsets[local] |= std::uint64_t{1} << operands[j];
+    std::vector<std::uint64_t> sorted;
+    for (Qubit q : operands)
+        sorted.push_back(std::uint64_t{1} << q);
+    std::sort(sorted.begin(), sorted.end());
+
+    struct Entry
+    {
+        std::size_t row;
+        std::size_t col;
+        Complex value;
+    };
+    std::vector<Entry> nonzero;
+    for (std::size_t r = 0; r < block; ++r)
+        for (std::size_t c = 0; c < block; ++c)
+            if (s(r, c) != Complex{0.0, 0.0})
+                nonzero.push_back({r, c, s(r, c)});
+
+    kernels::parallelFor(
+        size >> k, std::max<std::uint64_t>(1, kernels::kParallelGrain >> k),
+        [&](std::uint64_t begin, std::uint64_t end) {
+            // Real and imaginary parts apart: a std::complex written
+            // as two halves and read back whole stalls store-to-load
+            // forwarding, which cost 4x here.
+            std::vector<double> in_re(block), in_im(block);
+            std::vector<double> out_re(block), out_im(block);
+            for (std::uint64_t b = begin; b < end; ++b) {
+                const std::uint64_t base =
+                    kernels::expandIndex(b, sorted.data(), k);
+                for (std::size_t local = 0; local < block; ++local) {
+                    const Complex x = v[base | offsets[local]];
+                    in_re[local] = x.real();
+                    in_im[local] = x.imag();
+                    out_re[local] = 0.0;
+                    out_im[local] = 0.0;
+                }
+                for (const Entry &e : nonzero) {
+                    out_re[e.row] += e.value.real() * in_re[e.col] -
+                                     e.value.imag() * in_im[e.col];
+                    out_im[e.row] += e.value.real() * in_im[e.col] +
+                                     e.value.imag() * in_re[e.col];
+                }
+                for (std::size_t local = 0; local < block; ++local)
+                    v[base | offsets[local]] =
+                        Complex{out_re[local], out_im[local]};
+            }
+        });
+}
+
+} // namespace
+
+DensityMatrix::DensityMatrix(std::size_t num_qubits)
+    : numQubits_(num_qubits),
+      rho_(checkedDim(num_qubits), checkedDim(num_qubits))
+{
     rho_(0, 0) = 1.0;
 }
 
@@ -42,45 +122,43 @@ DensityMatrix::checkQubit(Qubit q) const
                          " out of range");
 }
 
-void
-DensityMatrix::leftMultiply(const Matrix &a,
-                            const std::vector<Qubit> &qubits)
+Matrix
+DensityMatrix::superoperator(const std::vector<Matrix> &kraus)
 {
-    // Columns transform independently; split them across the scoped
-    // pool (each lane owns a disjoint column range of rho_).
-    const std::size_t d = dim();
-    kernels::parallelFor(
-        d, /*grain=*/8, [&](std::uint64_t c0, std::uint64_t c1) {
-            std::vector<Complex> column(d);
-            for (std::size_t c = c0; c < c1; ++c) {
-                for (std::size_t r = 0; r < d; ++r)
-                    column[r] = rho_(r, c);
-                kernels::applyMatrix(column, a, qubits);
-                for (std::size_t r = 0; r < d; ++r)
-                    rho_(r, c) = column[r];
+    // sum_j K_j (x) conj(K_j), accumulated straight into the 4^k x 4^k
+    // array: entry ((r1 d + r2), (c1 d + c2)) += K(r1, c1) conj(K(r2, c2)).
+    const std::size_t d = kraus.front().rows();
+    Matrix s(d * d, d * d);
+    Complex *out = s.data().data();
+    for (const Matrix &k : kraus) {
+        const Complex *a = k.data().data();
+        for (std::size_t r1 = 0; r1 < d; ++r1)
+            for (std::size_t c1 = 0; c1 < d; ++c1) {
+                const Complex x = a[r1 * d + c1];
+                if (x == Complex{0.0, 0.0})
+                    continue;
+                for (std::size_t r2 = 0; r2 < d; ++r2)
+                    for (std::size_t c2 = 0; c2 < d; ++c2)
+                        out[(r1 * d + r2) * d * d + c1 * d + c2] +=
+                            x * std::conj(a[r2 * d + c2]);
             }
-        });
+    }
+    return s;
 }
 
 void
-DensityMatrix::rightMultiplyAdjoint(const Matrix &a,
-                                    const std::vector<Qubit> &qubits)
+DensityMatrix::applySuperoperator(const Matrix &s,
+                                  const std::vector<Qubit> &qubits)
 {
-    // (rho A^dagger)_{rc} = sum_k rho_{rk} conj(A_{ck}); each row of
-    // rho transforms by conj(A) acting on the column-index space.
-    const Matrix conj_a = a.conjugate();
-    const std::size_t d = dim();
-    kernels::parallelFor(
-        d, /*grain=*/8, [&](std::uint64_t r0, std::uint64_t r1) {
-            std::vector<Complex> row(d);
-            for (std::size_t r = r0; r < r1; ++r) {
-                for (std::size_t c = 0; c < d; ++c)
-                    row[c] = rho_(r, c);
-                kernels::applyMatrix(row, conj_a, qubits);
-                for (std::size_t c = 0; c < d; ++c)
-                    rho_(r, c) = row[c];
-            }
-        });
+    // Column bits first, so matrix bit j (j < k) is conj(K)'s bit j
+    // and bit k + j is K's: the low/high halves of K (x) conj(K).
+    std::vector<Qubit> operands(qubits);
+    for (Qubit q : qubits)
+        operands.push_back(q + numQubits_);
+    if (operands.size() == 2)
+        kernels::applyMatrix(rho_.data(), s, operands);
+    else
+        applyWide(rho_.data().data(), rho_.data().size(), s, operands);
 }
 
 void
@@ -89,8 +167,11 @@ DensityMatrix::applyMatrix(const Matrix &u,
 {
     for (Qubit q : qubits)
         checkQubit(q);
-    leftMultiply(u, qubits);
-    rightMultiplyAdjoint(u, qubits);
+    std::vector<Qubit> rows(qubits);
+    for (Qubit &q : rows)
+        q += numQubits_;
+    kernels::applyMatrix(rho_.data(), u, rows);
+    kernels::applyMatrix(rho_.data(), u.conjugate(), qubits);
 }
 
 void
@@ -110,15 +191,12 @@ DensityMatrix::applyKraus(const KrausChannel &channel,
 {
     for (Qubit q : qubits)
         checkQubit(q);
-
-    Matrix accumulated(dim(), dim());
-    for (const Matrix &k : channel.operators()) {
-        DensityMatrix term(*this);
-        term.leftMultiply(k, qubits);
-        term.rightMultiplyAdjoint(k, qubits);
-        accumulated += term.rho_;
-    }
-    rho_ = std::move(accumulated);
+    if (channel.numQubits() != qubits.size())
+        throw SimulationError("channel '" + channel.name() + "' acts on " +
+                              std::to_string(channel.numQubits()) +
+                              " qubits, given " +
+                              std::to_string(qubits.size()));
+    applySuperoperator(superoperator(channel.operators()), qubits);
 }
 
 double
@@ -137,11 +215,11 @@ void
 DensityMatrix::dephase(Qubit q)
 {
     checkQubit(q);
-    const std::uint64_t bit = std::uint64_t{1} << q;
-    for (std::uint64_t r = 0; r < dim(); ++r)
-        for (std::uint64_t c = 0; c < dim(); ++c)
-            if ((r & bit) != (c & bit))
-                rho_(r, c) = 0.0;
+    // Keep the entries whose row and column agree on q (superoperator
+    // index 0 = |0><0|, 3 = |1><1|).
+    Matrix s(4, 4);
+    s(0, 0) = s(3, 3) = 1.0;
+    applySuperoperator(s, {q});
 }
 
 double
@@ -155,17 +233,12 @@ DensityMatrix::postSelect(Qubit q, int outcome)
             "post-selection onto a zero-probability branch (qubit " +
             std::to_string(q) + " == " + std::to_string(outcome) + ")");
 
-    const std::uint64_t bit = std::uint64_t{1} << q;
-    for (std::uint64_t r = 0; r < dim(); ++r) {
-        for (std::uint64_t c = 0; c < dim(); ++c) {
-            const bool r_ok = ((r & bit) != 0) == (outcome == 1);
-            const bool c_ok = ((c & bit) != 0) == (outcome == 1);
-            if (r_ok && c_ok)
-                rho_(r, c) /= p;
-            else
-                rho_(r, c) = 0.0;
-        }
-    }
+    // P rho P / p with P = |outcome><outcome|: only the entries whose
+    // row and column both read the outcome survive.
+    const std::size_t keep = outcome ? 3 : 0;
+    Matrix s(4, 4);
+    s(keep, keep) = 1.0 / p;
+    applySuperoperator(s, {q});
     return p;
 }
 
@@ -173,12 +246,11 @@ void
 DensityMatrix::resetQubit(Qubit q)
 {
     checkQubit(q);
-    // Reset = Kraus channel {|0><0|, |0><1|}.
-    const Matrix k0{{Complex{1.0, 0.0}, Complex{0.0, 0.0}},
-                    {Complex{0.0, 0.0}, Complex{0.0, 0.0}}};
-    const Matrix k1{{Complex{0.0, 0.0}, Complex{1.0, 0.0}},
-                    {Complex{0.0, 0.0}, Complex{0.0, 0.0}}};
-    applyKraus(KrausChannel({k0, k1}, "reset"), {q});
+    // Reset = Kraus channel {|0><0|, |0><1|}: |1><1| moves onto
+    // |0><0| and the coherences vanish.
+    Matrix s(4, 4);
+    s(0, 0) = s(0, 3) = 1.0;
+    applySuperoperator(s, {q});
 }
 
 std::vector<double>

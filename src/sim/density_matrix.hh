@@ -3,9 +3,26 @@
  * n-qubit density matrix with unitary evolution, Kraus channels, and
  * computational-basis measurement primitives.
  *
- * Intended for small registers (the experiments use 3-6 qubits); the
- * representation is a dense 2^n x 2^n matrix, practical up to ~10
- * qubits.
+ * rho is stored as a dense row-major 2^n x 2^n matrix, so its storage
+ * is also a 2n-qubit amplitude vector: entry (r, c) sits at index
+ * r * 2^n + c, the low n bits index the column and the high n bits
+ * the row. Circuit qubit q is bit q (column side) and bit q + n (row
+ * side) of that vector. Every update is an in-place pass over that
+ * whole buffer, with no copies of rho:
+ *  - U rho U^dagger is U on the row bits q + n, then conj(U) on the
+ *    column bits q (two shared-kernel calls, sim/kernels);
+ *  - a k-qubit channel is one pass of its superoperator
+ *    S = sum_j K_j (x) conj(K_j) (4^k x 4^k) on the 2k operand bits,
+ *    column bits first. For k = 1 that is the shared two-qubit
+ *    kernel; wider ones run a sparse pass over S's nonzero entries;
+ *  - reset, dephase and post-selection are one-qubit superoperators
+ *    of the same form.
+ *
+ * Supports 1..12 qubits; the 2n-qubit vector holds 4^n complex
+ * entries (16 KiB at 5 qubits, 256 MiB at 12). From 8 qubits on the
+ * passes exceed twice the kernels' parallel grain and split across
+ * the scoped pool; splits touch disjoint entries, so results are
+ * bit-identical at any lane count.
  */
 
 #ifndef QRA_SIM_DENSITY_MATRIX_HH
@@ -19,6 +36,7 @@
 
 namespace qra {
 
+class DensityMatrixSimulator;
 class KrausChannel;
 
 /** Mixed quantum state over a register of qubits. */
@@ -81,14 +99,24 @@ class DensityMatrix
     double trace() const;
 
   private:
+    /** Builds fused gate-plus-noise superoperators per run. */
+    friend class DensityMatrixSimulator;
+
     void checkQubit(Qubit q) const;
 
-    /** rho <- A rho with local matrix A (columns transformed). */
-    void leftMultiply(const Matrix &a, const std::vector<Qubit> &qubits);
+    /**
+     * Superoperator sum_j K_j (x) conj(K_j) of the Kraus operators
+     * @p kraus ({U} gives the unitary's U (x) conj(U)).
+     */
+    static Matrix superoperator(const std::vector<Matrix> &kraus);
 
-    /** rho <- rho A^dagger with local matrix A (rows transformed). */
-    void rightMultiplyAdjoint(const Matrix &a,
-                              const std::vector<Qubit> &qubits);
+    /**
+     * rho <- S(rho) for a superoperator @p s of the channel on circuit
+     * @p qubits (matrix bit j: column bit of qubits[j] for j < k, row
+     * bit of qubits[j - k] for j >= k).
+     */
+    void applySuperoperator(const Matrix &s,
+                            const std::vector<Qubit> &qubits);
 
     std::size_t numQubits_;
     Matrix rho_;

@@ -5,7 +5,10 @@
  * Noise is applied per the NoiseModel: a gate-error channel after each
  * instruction, thermal relaxation to every qubit for the duration of
  * each scheduled moment, and classical readout confusion folded into
- * the final outcome distribution.
+ * the final outcome distribution. A gate whose error channel acts on
+ * its own operands runs as one superoperator pass (Kraus operators
+ * K_j U); relaxation superoperators are built once per (qubit,
+ * duration) and run, composed, once per idle stretch of a qubit.
  *
  * Measurements must be terminal per qubit (a measured qubit may not
  * be operated on again): the backend models measurement as dephasing
@@ -19,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "circuit/circuit.hh"
 #include "common/rng.hh"
@@ -27,6 +31,19 @@
 #include "sim/result.hh"
 
 namespace qra {
+
+/**
+ * Histogram of @p shots draws from @p probs: entry i counts the draws
+ * that a per-shot sampleDiscrete(probs, rng) loop returns as i,
+ * consuming the same uniforms in the same order, including its
+ * fall-back to the last index when the total drifted below 1. One
+ * prefix sum and a binary search per draw instead of a linear scan;
+ * the search needs a non-decreasing prefix, so @p probs must be
+ * non-negative.
+ * @throws SimulationError if @p probs is empty.
+ */
+std::vector<std::size_t> sampleHistogram(const std::vector<double> &probs,
+                                         std::size_t shots, Rng &rng);
 
 /** Exact (all-branches) noisy execution engine. */
 class DensityMatrixSimulator

@@ -136,8 +136,10 @@ void applyGenericK(Complex *amps, std::uint64_t n, const Matrix &u,
 /**
  * Dispatching dense-matrix application (drop-in for the old
  * kernel::applyMatrix): picks the 1q/2q/k-qubit kernel by operand
- * count. Used by the density-matrix backend on its rows/columns and
- * by trajectory Kraus sampling on raw amplitude copies.
+ * count. Used by the density-matrix backend on its whole rho storage
+ * viewed as a 2n-qubit vector (U on the row bits, conj(U) on the
+ * column bits, one-qubit superoperators on a row/column bit pair)
+ * and by trajectory Kraus sampling on raw amplitude copies.
  */
 void applyMatrix(std::vector<Complex> &amps, const Matrix &u,
                  const std::vector<Qubit> &qubits);

@@ -12,6 +12,7 @@
 
 #include "common/error.hh"
 #include "common/rng.hh"
+#include "noise/device_model.hh"
 #include "runtime/execution_engine.hh"
 #include "runtime/thread_pool.hh"
 #include "sim/kernels/alias_table.hh"
@@ -404,6 +405,21 @@ TEST(KernelsTest, SampledCountsBitIdenticalAcrossLaneCounts)
     const Result a = one_lane.run(c, 1024, "statevector", 77);
     const Result b = four_lanes.run(c, 1024, "statevector", 77);
     EXPECT_EQ(a.rawCounts(), b.rawCounts());
+
+    // A noisy density job on the same kernels: an 8-qubit rho is a
+    // 16-qubit vector (4x kParallelGrain), so each gate, channel and
+    // relaxation pass splits across the four lanes.
+    const DeviceModel device = DeviceModel::ibmqx4();
+    Circuit noisy(8, 8);
+    for (int g = 0; g < 20; ++g)
+        noisy.append(randomOperation(8, rng));
+    noisy.measureAll();
+    const Result da = one_lane.run(noisy, 1024, "density", 77,
+                                   &device.noiseModel());
+    const Result db = four_lanes.run(noisy, 1024, "density", 77,
+                                     &device.noiseModel());
+    EXPECT_EQ(da.rawCounts(), db.rawCounts());
+    EXPECT_EQ(da.exactDistribution(), db.exactDistribution());
 }
 
 TEST(KernelsTest, PerShotCountsBitIdenticalAcrossLaneCounts)

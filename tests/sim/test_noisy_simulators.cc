@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "noise/device_model.hh"
 #include "sim/density_simulator.hh"
 #include "sim/trajectory_simulator.hh"
@@ -142,6 +143,71 @@ TEST(DensitySimulatorTest, PostSelectTracksRetainedFraction)
     DensityMatrixSimulator sim(19);
     const auto dist = sim.exactDistribution(c);
     EXPECT_NEAR(dist.at(0), 1.0, 1e-10);
+}
+
+/** Per-shot sampleDiscrete loop: the reference sampleHistogram batches. */
+std::vector<std::size_t>
+perShotHistogram(const std::vector<double> &probs, std::size_t shots,
+                 std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::size_t> hits(probs.size(), 0);
+    for (std::size_t s = 0; s < shots; ++s)
+        ++hits[sampleDiscrete(probs, rng)];
+    return hits;
+}
+
+TEST(DensitySamplerTest, BatchedHistogramEqualsPerShotDraws)
+{
+    const std::vector<std::vector<double>> dists{
+        // Zero-probability entries, leading, inner and trailing.
+        {0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0},
+        // Total drifted below 1: draws past it take the fallback.
+        {0.3, 0.2, 0.1, 0.0, 0.35},
+        // Drift with a zero last entry: the fallback lands on it.
+        {0.6, 0.3, 0.0},
+        // A single outcome.
+        {1.0},
+        {0.999},
+    };
+    for (std::size_t i = 0; i < dists.size(); ++i) {
+        for (std::uint64_t seed : {1u, 7u, 1234u}) {
+            Rng rng(seed);
+            EXPECT_EQ(sampleHistogram(dists[i], 20000, rng),
+                      perShotHistogram(dists[i], 20000, seed))
+                << "distribution " << i << " seed " << seed;
+        }
+    }
+    // The drifted cases really exercise the fallback.
+    Rng rng(1);
+    EXPECT_GT(sampleHistogram({0.6, 0.3, 0.0}, 20000, rng)[2], 0u);
+    EXPECT_THROW(sampleHistogram({}, 1, rng), SimulationError);
+}
+
+TEST(DensitySamplerTest, RunCountsEqualPerShotDrawsOnIbmqx4)
+{
+    const DeviceModel device = DeviceModel::ibmqx4();
+    Circuit c(5, 3);
+    c.h(1).cx(1, 0).cx(1, 2).cx(0, 2).measure(2, 2).measure(1, 0)
+        .measure(0, 1);
+    DensityMatrixSimulator sim(99);
+    sim.setNoiseModel(&device.noiseModel());
+    const Result r = sim.run(c, 8192);
+
+    const auto dist = r.exactDistribution();
+    ASSERT_TRUE(dist.has_value());
+    std::vector<std::uint64_t> keys;
+    std::vector<double> probs;
+    for (const auto &[reg, p] : *dist) {
+        keys.push_back(reg);
+        probs.push_back(p);
+    }
+    const auto hits = perShotHistogram(probs, 8192, 99);
+    std::map<std::uint64_t, std::size_t> expected;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        if (hits[i] > 0)
+            expected[keys[i]] = hits[i];
+    EXPECT_EQ(r.rawCounts(), expected);
 }
 
 TEST(TrajectorySimulatorTest, IdealMatchesStatevector)
